@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .grid import CoverageError, GridSpec, GridSpecError, check_coverage
 from .kvn import (
     ClassicalHamiltonian,
     DegreeError,
@@ -27,6 +28,14 @@ from .phasepoly import parse_polynomial
 
 CONFIG_VERSION = 1
 
+# The config field behind each GridSpec parameter (each qumode carries one
+# of the 2n phase-space coordinates).
+_GRID_FIELDS = {
+    "num_modes": "hamiltonian.n",
+    "points_per_mode": "grid.points_per_mode",
+    "half_extent": "grid.half_extent",
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
@@ -38,8 +47,12 @@ class VerifyThresholds:
     first_moment: float = 0.05
 
     def __post_init__(self):
-        if self.tv <= 0 or self.first_moment <= 0:
-            raise ConfigError("verify: thresholds must be positive")
+        for name, value in (
+            ("verify.tv_threshold", self.tv),
+            ("verify.moment_threshold", self.first_moment),
+        ):
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name}: must be positive and finite, got {value}")
 
 
 @dataclass
@@ -129,6 +142,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     grid = data.get("grid", {})
     points = int(grid.get("points_per_mode", 128))
     half_extent = float(grid.get("half_extent", 8.0))
+    try:
+        spec = GridSpec(2 * n, points, half_extent)
+    except GridSpecError as exc:
+        raise ConfigError(f"{_GRID_FIELDS[exc.param]}: {exc}") from exc
+    try:
+        check_coverage(spec, mean, cov)
+    except CoverageError as exc:
+        raise ConfigError(f"grid.half_extent: {exc}") from exc
 
     evolution = _require(data, "evolution", "config")
     t = float(_require(evolution, "t", "evolution"))

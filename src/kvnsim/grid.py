@@ -2,24 +2,48 @@
 position grid.
 
 Each qumode carries one coordinate axis sampled at N points (power of
-two) spanning [-half_extent, +half_extent). Gates diagonal in position
-act by pointwise phase multiplication; anything involving a momentum
-quadrature goes through the unitary FFT of the target axis, with
-momentum values 2*pi*fftfreq(N, dx), so operations diagonal in (x, p)
-are exact for the continuum generator up to periodic wrap-around.
+two) spanning [-half_extent, +half_extent), with momentum values
+2*pi*fftfreq(N, dx) reached by the unitary FFT of that axis. Every gate is
+defined here as a short list of diagonal ops: an op names, per axis it
+touches, the basis it needs (position or momentum) and holds a
+broadcast-shaped phase table. Ops diagonal in (x, p) are exact for the
+continuum generator up to periodic wrap-around.
 
-The rotation gate uses the exact shear split
+    D, P, V, Q on mode m      one table in x_m
+    CZ(j, k)                  one table in (x_j, x_k)
+    CX(j, k)                  one table in (x_j, p_k)
+    R(theta), F, FDAG         x-shear, p-phase, x-shear on their mode
+
+The rotation uses the exact shear split
 
     R(theta) = exp(i tan(theta/2) X^2/2) exp(i sin(theta) P^2/2)
                exp(i tan(theta/2) X^2/2),
 
 applied with |theta| <= pi/2 (larger angles split into halves, which also
-covers the tan singularity at theta = pi). The Fourier gate is R(pi/2) up
-to the constant metaplectic phase; this keeps the quadrature exchange
-relations X -> P -> -X faithful on any adequate grid, independent of the
-dx/dp ratio. The middle shear spreads the state spatially by its momentum
-extent, so a rotated or Fourier-transformed mode needs the box to contain
-the supports of both its quadratures, with margin.
+covers the tan singularity at theta = pi). The Fourier gate is R(pi/2)
+times the constant metaplectic phase, folded into its last table; this
+keeps the quadrature exchange relations X -> P -> -X faithful on any
+adequate grid, independent of the dx/dp ratio. The middle shear spreads
+the state spatially by its momentum extent, so a rotated or
+Fourier-transformed mode needs the box to contain the supports of both its
+quadratures, with margin.
+
+A gate list runs as one compiled plan (``apply_gate`` is the plan of a
+single gate):
+
+1. adjacent gates that commute exactly are fused: same-kind additive
+   gates on the same modes add their parameters and vanish when the sum
+   is exactly zero, and an adjacent F/FDAG pair on one mode cancels;
+2. each distinct fused gate is lowered to its ops once per call, so a
+   repetitive product-formula circuit builds only a handful of tables;
+3. the executor tracks the basis of every axis and transforms an axis
+   only when the next op needs the other basis, so consecutive ops in the
+   momentum of one axis share one FFT pair; every axis ends in position.
+
+Fusion and basis tracking change results by roundoff only (about 1e-13
+relative against gate-by-gate execution) and never change the synthesized
+circuit itself. A state that is not finite after a plan raises
+BlowUpError.
 
 The grid is an emulation device: extent and resolution are engineering
 choices, not part of the compiled circuits.
@@ -29,7 +53,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -46,6 +70,18 @@ class CoverageError(ValueError):
     """The grid cannot contain the requested state."""
 
 
+class BlowUpError(RuntimeError):
+    """A computation produced non-finite values."""
+
+
+class GridSpecError(ValueError):
+    """Invalid grid geometry; ``param`` names the offending GridSpec field."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform multi-qumode position grid."""
@@ -57,21 +93,27 @@ class GridSpec:
 
     def __post_init__(self):
         if not 1 <= self.num_modes <= MAX_MODES:
-            raise ValueError(
-                f"num_modes must be between 1 and {MAX_MODES}, got {self.num_modes}"
+            raise GridSpecError(
+                "num_modes",
+                f"num_modes must be between 1 and {MAX_MODES}, got {self.num_modes}",
             )
         n = self.points_per_mode
         if n < 16 or n & (n - 1):
-            raise ValueError(
-                f"points_per_mode must be a power of two >= 16, got {n}"
+            raise GridSpecError(
+                "points_per_mode",
+                f"points_per_mode must be a power of two >= 16, got {n}",
             )
-        if not self.half_extent > 0:
-            raise ValueError("half_extent must be positive")
+        if not 0 < self.half_extent < np.inf:
+            raise GridSpecError(
+                "half_extent",
+                f"half_extent must be positive and finite, got {self.half_extent}",
+            )
         state_bytes = 16 * n ** self.num_modes
         if state_bytes > self.memory_cap_bytes:
-            raise ValueError(
+            raise GridSpecError(
+                "points_per_mode",
                 f"state of {state_bytes} bytes exceeds the memory cap of "
-                f"{self.memory_cap_bytes} bytes"
+                f"{self.memory_cap_bytes} bytes",
             )
 
     @property
@@ -137,6 +179,17 @@ class DensityGrid:
         return float(np.sum(self.values) * self.spec.cell_volume)
 
 
+def check_coverage(spec: GridSpec, mean: np.ndarray, cov: np.ndarray) -> None:
+    """Raise CoverageError when the grid cannot hold the 2-sigma box of the
+    Gaussian N(mean, cov)."""
+    reach = np.abs(mean) + 2 * np.sqrt(np.diag(cov))
+    if np.any(reach > spec.half_extent):
+        raise CoverageError(
+            "grid does not contain the 2-sigma box of the requested Gaussian "
+            f"(it reaches {float(reach.max())!r} > half_extent {spec.half_extent!r})"
+        )
+
+
 def prepare_gaussian(
     spec: GridSpec, mean: Sequence[float], cov: np.ndarray
 ) -> GridState:
@@ -156,13 +209,8 @@ def prepare_gaussian(
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals.min() <= 0:
         raise ValueError("covariance must be positive definite")
-    sigma = np.sqrt(np.diag(cov))
-    l = spec.half_extent
-    if np.any(np.abs(mean) + 2 * sigma > l):
-        raise CoverageError(
-            "grid does not contain the 2-sigma box of the requested Gaussian"
-        )
-    if np.any(np.abs(mean) + 5 * sigma > l):
+    check_coverage(spec, mean, cov)
+    if np.any(np.abs(mean) + 5 * np.sqrt(np.diag(cov)) > spec.half_extent):
         warnings.warn(
             "grid covers less than 5 sigma of the requested Gaussian; "
             "expect boundary artifacts",
@@ -181,7 +229,34 @@ def prepare_gaussian(
     return GridState(spec, psi)
 
 
-# -- gate application --------------------------------------------------------
+# -- compiled gate execution ---------------------------------------------------
+
+
+# Kinds whose adjacent gates on the same modes compose by adding parameters.
+_ADDITIVE = frozenset({
+    GateKind.MOMENTUM_DISPLACEMENT,
+    GateKind.QUADRATIC_PHASE,
+    GateKind.CUBIC_PHASE,
+    GateKind.QUARTIC_PHASE,
+    GateKind.ROTATION,
+    GateKind.CONTROLLED_Z,
+    GateKind.CONTROLLED_X,
+})
+_FOURIER_PAIR = frozenset({GateKind.FOURIER, GateKind.FOURIER_INVERSE})
+
+# The Fourier gate is the quarter rotation times this constant metaplectic
+# phase, which makes F^4 the exact identity and F fix the vacuum (the usual
+# DFT convention).
+_METAPLECTIC = {GateKind.FOURIER: np.exp(-0.25j * np.pi),
+                GateKind.FOURIER_INVERSE: np.exp(0.25j * np.pi)}
+
+
+class _Op(NamedTuple):
+    """Multiply by ``table`` once every axis in ``needs`` is in the basis
+    given by its flag (True: momentum, False: position)."""
+
+    needs: tuple[tuple[int, bool], ...]
+    table: np.ndarray
 
 
 def _fft(psi: np.ndarray, axis: int) -> np.ndarray:
@@ -192,68 +267,107 @@ def _ifft(psi: np.ndarray, axis: int) -> np.ndarray:
     return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
 
 
-def _momentum_phase(psi: np.ndarray, spec: GridSpec, axis: int, chirp: np.ndarray) -> np.ndarray:
-    """Multiply a phase diagonal in the momentum of one axis."""
-    psi = _fft(psi, axis)
-    psi *= chirp
-    return _ifft(psi, axis)
+def fuse_gates(gates: Iterable[Gate]) -> list[Gate]:
+    """Merge neighbours that commute exactly; the product is unchanged.
+
+    Adjacent gates of one additive kind on the same modes become one gate
+    with the summed parameter (none when the sum is exactly zero), and an
+    adjacent F/FDAG pair on one mode cancels. A merge can expose a new
+    neighbour, so the surviving gates are kept on a stack.
+    """
+    kept: list[Gate] = []
+    for gate in gates:
+        if kept and kept[-1].modes == gate.modes:
+            last = kept[-1]
+            if last.kind is gate.kind and gate.kind in _ADDITIVE:
+                total = last.param + gate.param
+                if total == 0.0:
+                    kept.pop()
+                else:
+                    kept[-1] = Gate(gate.kind, gate.modes, total)
+                continue
+            if {last.kind, gate.kind} == _FOURIER_PAIR:
+                kept.pop()
+                continue
+        kept.append(gate)
+    return kept
 
 
-def _rotate(psi: np.ndarray, spec: GridSpec, axis: int, theta: float) -> np.ndarray:
+def _rotation_ops(spec: GridSpec, axis: int, theta: float) -> list[_Op]:
+    """R(theta) as x-shear, p-phase, x-shear, with |theta| <= pi/2 per
+    split; larger angles run as two half rotations."""
     theta = float(np.arctan2(np.sin(theta), np.cos(theta)))  # wrap to (-pi, pi]
     if abs(theta) < 1e-300:
-        return psi
+        return []
     if abs(theta) > np.pi / 2 + 1e-12:
-        psi = _rotate(psi, spec, axis, theta / 2)
-        return _rotate(psi, spec, axis, theta / 2)
+        half = _rotation_ops(spec, axis, theta / 2)
+        return half + half
     x = spec.axis_view(spec.positions(), axis)
     p = spec.axis_view(spec.momenta_fft_order(), axis)
-    shear = np.exp(0.5j * np.tan(theta / 2) * x * x)
-    psi *= shear
-    psi = _momentum_phase(psi, spec, axis, np.exp(0.5j * np.sin(theta) * p * p))
-    psi *= shear
-    return psi
+    shear = _Op(((axis, False),), np.exp(0.5j * np.tan(theta / 2) * x * x))
+    kick = _Op(((axis, True),), np.exp(0.5j * np.sin(theta) * p * p))
+    return [shear, kick, shear]
 
 
-def _apply_gate_inplace(psi: np.ndarray, spec: GridSpec, gate: Gate) -> np.ndarray:
-    xs = spec.positions()
-    kind = gate.kind
+def _lower(spec: GridSpec, gate: Gate) -> list[_Op]:
+    """The grid semantics of one gate: a list of diagonal phase ops."""
+    kind, s = gate.kind, gate.param
+    m = gate.modes[0]
+    x = spec.axis_view(spec.positions(), m)
     if kind is GateKind.MOMENTUM_DISPLACEMENT:
-        x = spec.axis_view(xs, gate.modes[0])
-        psi *= np.exp(1j * gate.param * x)
-    elif kind is GateKind.QUADRATIC_PHASE:
-        x = spec.axis_view(xs, gate.modes[0])
-        psi *= np.exp(0.5j * gate.param * x * x)
-    elif kind is GateKind.CUBIC_PHASE:
-        x = spec.axis_view(xs, gate.modes[0])
-        psi *= np.exp((1j / 3.0) * gate.param * x ** 3)
-    elif kind is GateKind.QUARTIC_PHASE:
-        x = spec.axis_view(xs, gate.modes[0])
-        psi *= np.exp(1j * gate.param * x ** 4)
-    elif kind is GateKind.CONTROLLED_Z:
-        j, k = gate.modes
-        phase = spec.axis_view(xs, j) * spec.axis_view(xs, k)
-        psi *= np.exp(1j * gate.param * phase)
-    elif kind is GateKind.CONTROLLED_X:
-        j, k = gate.modes
-        chirp = np.exp(
-            -1j * gate.param * spec.axis_view(xs, j) * spec.axis_view(spec.momenta_fft_order(), k)
-        )
-        psi = _momentum_phase(psi, spec, k, chirp)
-    elif kind is GateKind.FOURIER:
-        # The quarter rotation equals the Fourier-transform unitary only up
-        # to the constant metaplectic phase; absorbing it here makes F^4 the
-        # exact identity and F fix the vacuum, the usual DFT convention.
-        psi = _rotate(psi, spec, gate.modes[0], np.pi / 2)
-        psi *= np.exp(-0.25j * np.pi)
-    elif kind is GateKind.FOURIER_INVERSE:
-        psi = _rotate(psi, spec, gate.modes[0], -np.pi / 2)
-        psi *= np.exp(0.25j * np.pi)
-    elif kind is GateKind.ROTATION:
-        psi = _rotate(psi, spec, gate.modes[0], gate.param)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown gate kind {kind}")
-    return psi
+        return [_Op(((m, False),), np.exp(1j * s * x))]
+    if kind is GateKind.QUADRATIC_PHASE:
+        return [_Op(((m, False),), np.exp(0.5j * s * x * x))]
+    if kind is GateKind.CUBIC_PHASE:
+        return [_Op(((m, False),), np.exp((1j / 3.0) * s * x ** 3))]
+    if kind is GateKind.QUARTIC_PHASE:
+        return [_Op(((m, False),), np.exp(1j * s * x ** 4))]
+    if kind is GateKind.CONTROLLED_Z:
+        k = gate.modes[1]
+        xk = spec.axis_view(spec.positions(), k)
+        return [_Op(((m, False), (k, False)), np.exp(1j * s * (x * xk)))]
+    if kind is GateKind.CONTROLLED_X:
+        k = gate.modes[1]
+        pk = spec.axis_view(spec.momenta_fft_order(), k)
+        return [_Op(((m, False), (k, True)), np.exp(-1j * s * x * pk))]
+    if kind is GateKind.ROTATION:
+        return _rotation_ops(spec, m, s)
+    if kind in _METAPLECTIC:
+        sign = 1.0 if kind is GateKind.FOURIER else -1.0
+        ops = _rotation_ops(spec, m, sign * np.pi / 2)
+        last = ops[-1]
+        ops[-1] = _Op(last.needs, last.table * _METAPLECTIC[kind])
+        return ops
+    raise ValueError(f"unknown gate kind {kind}")  # pragma: no cover - enum is exhaustive
+
+
+def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
+    """Execute a gate list as one compiled plan on a copy of the state.
+
+    The gates are fused, each distinct fused gate is lowered once (the
+    tables live only for this call), and every axis changes basis only
+    when the next op needs the other one; all axes end in position.
+    """
+    spec = state.spec
+    psi = state.psi.copy()
+    tables: dict[Gate, list[_Op]] = {}
+    in_momentum = [False] * spec.num_modes
+    for gate in fuse_gates(gates):
+        ops = tables.get(gate)
+        if ops is None:
+            ops = tables[gate] = _lower(spec, gate)
+        for needs, table in ops:
+            for axis, momentum in needs:
+                if in_momentum[axis] != momentum:
+                    psi = _fft(psi, axis) if momentum else _ifft(psi, axis)
+                    in_momentum[axis] = momentum
+            psi *= table
+    for axis, momentum in enumerate(in_momentum):
+        if momentum:
+            psi = _ifft(psi, axis)
+    if not np.isfinite(psi).all():
+        raise BlowUpError("grid state has non-finite amplitudes")
+    return GridState(spec, psi)
 
 
 def apply_gate(state: GridState, gate: Gate) -> GridState:
@@ -262,21 +376,20 @@ def apply_gate(state: GridState, gate: Gate) -> GridState:
         raise ValueError(
             f"gate modes {gate.modes} out of range for {state.spec.num_modes} qumodes"
         )
-    psi = _apply_gate_inplace(state.psi.copy(), state.spec, gate)
-    return GridState(state.spec, psi)
+    return _run_plan(state, (gate,))
 
 
 def apply_sequence(state: GridState, seq: GateSequence) -> GridState:
-    """Apply a gate sequence (leftmost first); returns a new state."""
+    """Apply a gate sequence (leftmost first); returns a new state.
+
+    Raises BlowUpError when the result is not finite.
+    """
     if seq.num_modes != state.spec.num_modes:
         raise ValueError(
             f"sequence over {seq.num_modes} modes applied to a "
             f"{state.spec.num_modes}-mode state"
         )
-    psi = state.psi.copy()
-    for gate in seq:
-        psi = _apply_gate_inplace(psi, state.spec, gate)
-    return GridState(state.spec, psi)
+    return _run_plan(state, seq)
 
 
 def _factor_on_grid(spec: GridSpec, poly: PhasePolynomial) -> np.ndarray:

@@ -14,15 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DensityGrid, GridSpec
+from .grid import BlowUpError, DensityGrid, GridSpec
 from .kvn import ClassicalHamiltonian
 from .phasepoly import PhasePolynomial
 
 INTEGRATORS = ("leapfrog", "rk4")
-
-
-class BlowUpError(RuntimeError):
-    """The integration produced a non-finite state."""
 
 
 @dataclass

@@ -106,6 +106,40 @@ class TestExitCodes:
         assert code == 4
         assert "blow-up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["tv_threshold", "moment_threshold"])
+    def test_non_finite_threshold_exit_code(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "c.json", verify={field: value})
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert f"verify.{field}" in capsys.readouterr().err
+
+    def test_points_not_power_of_two_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 100})
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "grid.points_per_mode" in capsys.readouterr().err
+
+    def test_too_many_modes_exit_code(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            hamiltonian={
+                "n": 3,
+                "H": "1/2 * x4^2 + 1/2 * x5^2 + 1/2 * x6^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/2 * x3^2",
+            },
+            initial_density={"mean": [0.0] * 6, "covariance": (0.5 * np.eye(6)).tolist()},
+        )
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "hamiltonian.n" in capsys.readouterr().err
+
+    def test_box_smaller_than_initial_density_exit_code(self, tmp_path, capsys):
+        # mean 1 plus two standard deviations (2 * sqrt(0.5)) exceeds 2.0
+        cfg = write_config(tmp_path / "c.json", grid={"half_extent": 2.0})
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "grid.half_extent" in capsys.readouterr().err
+
     def test_identities_exit_zero(self, capsys):
         assert main(["identities"]) == 0
         out = capsys.readouterr().out

@@ -1,9 +1,12 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kvnsim.config import load_config
 from kvnsim.grid import (
+    BlowUpError,
     CoverageError,
     GridSpec,
     GridState,
@@ -13,6 +16,7 @@ from kvnsim.grid import (
     boundary_mass,
     density_to_csv,
     exact_controlled_shift,
+    fuse_gates,
     measure_positions,
     momentum_expectation,
     position_expectation,
@@ -21,9 +25,19 @@ from kvnsim.grid import (
 )
 from kvnsim.kvn import KvNTerm, build_kvn, validate_separation
 from kvnsim.phasepoly import PhasePolynomial, parse_polynomial
-from kvnsim.synth import Gate, GateKind, cx_via_cz, synthesize_term, trotter_circuit
+from kvnsim.synth import (
+    Gate,
+    GateKind,
+    GateSequence,
+    cx_via_cz,
+    synthesize_term,
+    trotter_circuit,
+)
 from kvnsim.gaussian import GaussianState, evolve_gaussian
 
+
+QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
+COUPLED4_H = "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/20 * x1^2 * x2^2"
 
 SPEC1 = GridSpec(num_modes=1, points_per_mode=128, half_extent=8.0)
 SPEC2 = GridSpec(num_modes=2, points_per_mode=128, half_extent=8.0)
@@ -413,3 +427,101 @@ class TestCsvExports:
         assert lines[0] == "x1,density"
         assert len(lines) == 17
         assert text == density_to_csv(born_density(state))
+
+
+class TestCompiledPlan:
+    """apply_sequence fuses neighbours, caches tables and tracks the basis
+    of each axis lazily; a loop of single-gate apply_gate calls (each its
+    own one-gate plan, with every axis back in position between gates) is
+    the reference."""
+
+    @staticmethod
+    def gate_by_gate(state, seq):
+        for gate in seq:
+            state = apply_gate(state, gate)
+        return state
+
+    @pytest.mark.parametrize(
+        "n,hamiltonian,points,mean,steps",
+        [
+            (1, "1/2 * x2^2 + 1/2 * x1^2 + 1/40 * x1^4", 64, [1.0, 0.0], 20),
+            (2, COUPLED4_H, 16, [1.0, 0.5, 0.0, 0.0], 4),
+        ],
+        ids=["quartic", "coupled4"],
+    )
+    def test_plan_matches_gate_by_gate(self, n, hamiltonian, points, mean, steps):
+        kvn = build_kvn(validate_separation(parse_polynomial(hamiltonian, 2 * n), n))
+        half_extent = 16.0 if n == 1 else 8.0
+        spec = GridSpec(num_modes=2 * n, points_per_mode=points, half_extent=half_extent)
+        state = prepare_gaussian(spec, mean, 0.5 * np.eye(2 * n))
+        circuit = trotter_circuit(kvn, 1.0, steps, 2)
+        assert len(fuse_gates(circuit)) < len(circuit)
+        planned = apply_sequence(state, circuit)
+        reference = self.gate_by_gate(state, circuit)
+        assert l2_distance(planned, reference) <= 1e-12 * reference.norm()
+
+    def test_quartic_config_fused_gate_count(self):
+        config = load_config(QUARTIC_CONFIG)
+        circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
+        assert len(circuit) == 6400
+        assert len(fuse_gates(circuit)) == 4801
+
+    def test_fusion_rules(self):
+        cx = Gate(GateKind.CONTROLLED_X, (0, 1), 0.25)
+        f, fdag = Gate(GateKind.FOURIER, (1,)), Gate(GateKind.FOURIER_INVERSE, (1,))
+        # a cancelled F/FDAG pair exposes CX neighbours whose sum is exactly 0
+        assert fuse_gates([cx, f, fdag, cx.inverse()]) == []
+        assert fuse_gates([cx, cx]) == [Gate(GateKind.CONTROLLED_X, (0, 1), 0.5)]
+        # different modes or kinds never merge
+        cx_other = Gate(GateKind.CONTROLLED_X, (0, 2), 0.25)
+        cx_rev = Gate(GateKind.CONTROLLED_X, (1, 0), 0.25)
+        cz = Gate(GateKind.CONTROLLED_Z, (0, 1), 0.25)
+        unfused = [cx, cx_other, cx_rev, cz, f, f]
+        assert fuse_gates(unfused) == unfused
+
+    def test_input_state_not_mutated(self):
+        state = prepare_gaussian(SPEC2, [0.6, -0.2], 0.5 * np.eye(2))
+        before = state.psi.copy()
+        seq = cx_via_cz(0, 1, 0.7, 2) + GateSequence(
+            2, (Gate(GateKind.CONTROLLED_X, (1, 0), 0.3),)
+        )
+        apply_sequence(state, seq)
+        apply_gate(state, Gate(GateKind.QUARTIC_PHASE, (0,), 0.1))
+        assert np.array_equal(state.psi, before)
+
+    def test_empty_sequence_returns_equal_copy(self):
+        state = prepare_gaussian(SPEC2, [0.6, -0.2], 0.5 * np.eye(2))
+        out = apply_sequence(state, GateSequence(2))
+        assert out.psi is not state.psi
+        assert np.array_equal(out.psi, state.psi)
+
+    @pytest.mark.parametrize("theta", [2.5, -2.0, 3 * np.pi / 4])
+    def test_rotation_beyond_quarter_turn_matches_closed_form(self, theta):
+        # R(theta) rotates the quadrature means: x -> x cos - p sin,
+        # p -> x sin + p cos (F = R(pi/2) maps X to -P and P to X)
+        state = apply_gate(
+            prepare_gaussian(SPEC1, [0.8], np.array([[0.5]])),
+            Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), -0.4),
+        )
+        x0, p0 = position_expectation(state, 0), momentum_expectation(state, 0)
+        out = apply_gate(state, Gate(GateKind.ROTATION, (0,), theta))
+        c, s = np.cos(theta), np.sin(theta)
+        assert position_expectation(out, 0) == pytest.approx(x0 * c - p0 * s, abs=1e-8)
+        assert momentum_expectation(out, 0) == pytest.approx(x0 * s + p0 * c, abs=1e-8)
+        assert abs(out.norm() - 1.0) <= 1e-12
+
+    def test_zero_strength_cz_is_exact_identity(self):
+        state = prepare_gaussian(SPEC2, [0.5, 0.0], 0.25 * np.eye(2))
+        out = apply_gate(state, Gate(GateKind.CONTROLLED_Z, (0, 1), 0.0))
+        assert np.array_equal(out.psi, state.psi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises_blow_up(self, bad):
+        state = prepare_gaussian(SPEC2, [0.0, 0.0], 0.5 * np.eye(2))
+        state.psi[3, 5] = bad
+        seq = GateSequence(2, (Gate(GateKind.CONTROLLED_X, (0, 1), 0.3),))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(BlowUpError, match="non-finite"):
+                apply_sequence(state, seq)
+            with pytest.raises(BlowUpError):
+                apply_sequence(state, GateSequence(2))

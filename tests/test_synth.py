@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kvnsim.expansion import (
     ExpansionTerm,
@@ -21,6 +23,25 @@ from kvnsim.synth import (
     synthesize_term,
     trotter_circuit,
 )
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# neighbour fusion on the grid produces sums of synthesized strengths
+_PARAMS = _FINITE | st.tuples(_FINITE, _FINITE).map(sum).filter(math.isfinite)
+
+
+@st.composite
+def gate_sequences(draw):
+    num_modes = draw(st.integers(2, 4))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(GateKind), max_size=12)):
+        if kind in (GateKind.CONTROLLED_Z, GateKind.CONTROLLED_X):
+            modes = tuple(draw(st.permutations(range(num_modes)))[:2])
+        else:
+            modes = (draw(st.integers(0, num_modes - 1)),)
+        parameterless = kind in (GateKind.FOURIER, GateKind.FOURIER_INVERSE)
+        gates.append(Gate(kind, modes, None if parameterless else draw(_PARAMS)))
+    return GateSequence(num_modes, tuple(gates))
 
 
 def expansion_sum(a2, a3, a4):
@@ -286,6 +307,10 @@ class TestSerialization:
                 Gate(GateKind.FOURIER_INVERSE, (2,)),
             ),
         )
+        self.round_trip(seq)
+
+    @given(gate_sequences())
+    def test_round_trip_random_valid_gates(self, seq):
         self.round_trip(seq)
 
     def test_round_trip_synthesized_circuit(self):
