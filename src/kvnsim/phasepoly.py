@@ -202,6 +202,15 @@ class PhasePolynomial:
 
     # -- evaluation --------------------------------------------------------
 
+    def _max_exponents(self) -> list[int]:
+        """Largest exponent of each variable over all terms."""
+        out = [0] * self.num_vars
+        for expo in self.terms:
+            for i, e in enumerate(expo):
+                if e > out[i]:
+                    out[i] = e
+        return out
+
     def evaluate(self, point: Sequence[float]) -> float:
         """Evaluate at a real point, with per-variable power caching."""
         if len(point) != self.num_vars:
@@ -210,13 +219,8 @@ class PhasePolynomial:
             )
         if not self.terms:
             return 0.0
-        max_exp = [0] * self.num_vars
-        for expo in self.terms:
-            for i, e in enumerate(expo):
-                if e > max_exp[i]:
-                    max_exp[i] = e
         powers = []
-        for i, m in enumerate(max_exp):
+        for i, m in enumerate(self._max_exponents()):
             row = [1.0] * (m + 1)
             for k in range(1, m + 1):
                 row[k] = row[k - 1] * float(point[i])
@@ -231,20 +235,41 @@ class PhasePolynomial:
         return total
 
     def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of shape (..., num_vars)."""
+        """Vectorized evaluation on an array of shape (..., num_vars).
+
+        Integer input is evaluated in floating point and complex input stays
+        complex. Powers come from a per-variable table built by repeated
+        multiplication, because NumPy sends ``x ** e`` with an integer
+        ``e >= 3`` through ``pow``, about a hundred times slower. Evaluation is
+        fastest when each ``points[..., i]`` is contiguous, e.g. the ``.T``
+        of a C-ordered ``(num_vars, M)`` array.
+        """
         points = np.asarray(points)
         if points.shape[-1] != self.num_vars:
             raise ValueError(
                 f"dimension mismatch: points have last axis {points.shape[-1]}, "
                 f"expected {self.num_vars}"
             )
-        out = np.zeros(points.shape[:-1], dtype=points.dtype)
+        dtype = np.result_type(points.dtype, float)
+        out = np.zeros(points.shape[:-1], dtype=dtype)
+        powers = []
+        for i, m in enumerate(self._max_exponents()):
+            row = [None] * (m + 1)
+            if m:
+                row[1] = points[..., i].astype(dtype, copy=False)
+                for k in range(2, m + 1):
+                    row[k] = row[k - 1] * row[1]
+            powers.append(row)
         for expo, coeff in self.terms.items():
-            term = np.full(points.shape[:-1], float(coeff), dtype=points.dtype)
+            term = None
             for i, e in enumerate(expo):
-                if e:
-                    term = term * points[..., i] ** e
-            out = out + term
+                if not e:
+                    continue
+                if term is None:
+                    term = powers[i][e] * float(coeff)
+                else:
+                    term *= powers[i][e]
+            out += float(coeff) if term is None else term
         return out
 
     # -- printing ----------------------------------------------------------

@@ -16,7 +16,7 @@ from kvnsim.oracle import (
     liouville_density,
     liouville_density_grid,
 )
-from kvnsim.phasepoly import parse_polynomial
+from kvnsim.phasepoly import PhasePolynomial, parse_polynomial
 
 
 def ho():
@@ -31,6 +31,36 @@ def quartic():
 
 def free_particle():
     return validate_separation(parse_polynomial("1/2 * x2^2", 2), 1)
+
+
+def coupled():
+    return validate_separation(
+        parse_polynomial(
+            "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/20 * x1^2 * x2^2", 4
+        ),
+        2,
+    )
+
+
+def plain_leapfrog(h, points, steps):
+    """Reference flow: kick-drift-kick with unmerged half-kicks, one point at
+    a time through PhasePolynomial.evaluate."""
+    n = h.n
+    grad_v = [h.V.partial_derivative(j) for j in range(n)]
+    grad_t = [h.T.partial_derivative(n + j) for j in range(n)]
+    out = []
+    for point in np.asarray(points, dtype=float).reshape(-1, 2 * n):
+        x = [float(v) for v in point]
+        for dt in steps:
+            for j in range(n):
+                x[n + j] -= dt / 2.0 * grad_v[j].evaluate(x)
+            drifts = [g.evaluate(x) for g in grad_t]
+            for j in range(n):
+                x[j] += dt * drifts[j]
+            for j in range(n):
+                x[n + j] -= dt / 2.0 * grad_v[j].evaluate(x)
+        out.append(x)
+    return np.array(out)
 
 
 class TestFlow:
@@ -72,6 +102,51 @@ class TestFlow:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError):
                 fm.flow([3.0, 0.0], 50.0)
+
+    @pytest.mark.parametrize(
+        "t, steps", [(1.0, 1000), (2.5, 2500), (-2.5, 2500), (2.5005, 2501)]
+    )
+    def test_step_count(self, monkeypatch, t, steps):
+        # whole multiples of dt take no extra sliver step; a real remainder
+        # takes one shortened step
+        calls = []
+        evaluate_array = PhasePolynomial.evaluate_array
+
+        def counting(self, points):
+            calls.append(1)
+            return evaluate_array(self, points)
+
+        monkeypatch.setattr(PhasePolynomial, "evaluate_array", counting)
+        FlowMap(ho(), dt=1e-3).flow([1.0, 0.0], t)
+        # one drift per step plus one kick per step boundary, merged kicks
+        assert len(calls) == 2 * steps + 1
+        calls.clear()
+        FlowMap(ho(), integrator="rk4", dt=1e-3).flow([1.0, 0.0], t)
+        assert len(calls) == 8 * steps
+
+    def test_flow_matches_plain_leapfrog_coupled(self):
+        h = coupled()
+        rng = np.random.default_rng(8)
+        points = rng.uniform(-2.0, 2.0, size=(40, 4))
+        t, dt = 0.537, 0.01
+        expected = plain_leapfrog(h, points, [dt] * 53 + [t - 53 * dt])
+        got = FlowMap(h, dt=dt).flow_array(points, t)
+        assert got.shape == points.shape and got.dtype == np.float64
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("integrator, order", [("leapfrog", 2), ("rk4", 4)])
+    def test_convergence_order(self, integrator, order):
+        # halving dt divides the error by 2**order
+        h = quartic()
+        x0 = np.array([[1.5, 0.0], [-0.5, 1.2], [0.8, -0.9]])
+        t = 1.0
+        reference = FlowMap(h, integrator="rk4", dt=1e-3).flow_array(x0, t)
+        errors = [
+            np.abs(FlowMap(h, integrator=integrator, dt=dt).flow_array(x0, t) - reference).max()
+            for dt in (0.1, 0.05, 0.025)
+        ]
+        slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(np.abs(slopes - order) <= 0.25), slopes
 
     def test_leapfrog_step_preserves_phase_space_volume(self):
         # complex-step Jacobian of one step: determinant 1 to 1e-12
@@ -125,6 +200,19 @@ class TestLiouvilleDensity:
             assert liouville_density(fm, rho0, t, x) == pytest.approx(
                 expected, rel=1e-6, abs=1e-12
             )
+
+    def test_grid_density_matches_plain_leapfrog(self):
+        spec = GridSpec(num_modes=2, points_per_mode=64, half_extent=6.0)
+        h = quartic()
+        fm = FlowMap(h, dt=0.01)
+        rho0 = gaussian_density([1.0, 0.0], 0.5 * np.eye(2))
+        t = 0.3
+        xs = spec.positions()
+        mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        origins = plain_leapfrog(h, mesh, [-0.01] * 30)
+        expected = rho0(origins).reshape(spec.shape)
+        got = liouville_density_grid(fm, rho0, t, spec).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_grid_density_integrates_to_one(self):
         spec = GridSpec(num_modes=2, points_per_mode=128, half_extent=8.0)

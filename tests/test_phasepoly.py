@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kvnsim.phasepoly import (
     PhasePolynomial,
@@ -139,13 +141,53 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="dimension mismatch"):
             var(2, 0).evaluate([1.0])
 
-    def test_evaluate_array_matches_scalar(self):
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.array([[1, -2], [2, 3], [0, 0]]),
+            np.array([[0.5, -1.5], [2.0, 0.25], [0.0, 0.0]]),
+            np.array([[0.5 + 0.25j, -1.5], [2.0, 0.25 - 1j], [0.0, 0.0]]),
+        ],
+        ids=["int", "float", "complex"],
+    )
+    def test_evaluate_array_matches_scalar(self, pts):
+        # integer input must not truncate; complex input must stay complex
         rng = random.Random(11)
         p = random_poly(rng, 2, 3)
-        pts = np.array([[0.5, -1.5], [2.0, 0.25], [0.0, 0.0]])
         out = p.evaluate_array(pts)
+        assert out.dtype == np.result_type(pts.dtype, float)
         for row, val in zip(pts, out):
-            assert val == pytest.approx(p.evaluate(row), rel=1e-12, abs=1e-12)
+            if np.iscomplexobj(row):
+                expected = sum(
+                    float(c) * math.prod(complex(v) ** e for v, e in zip(row, expo))
+                    for expo, c in p.terms.items()
+                )
+            else:
+                expected = p.evaluate(row)
+            assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(st.data())
+    def test_evaluate_array_matches_evaluate_property(self, data):
+        # random polynomials of degree <= 5 in up to 4 variables
+        num_vars = data.draw(st.integers(1, 4))
+        monomial = st.lists(st.integers(0, num_vars - 1), max_size=5).map(
+            lambda factors: tuple(factors.count(i) for i in range(num_vars))
+        )
+        coeff = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+        p = PhasePolynomial(num_vars, data.draw(st.dictionaries(monomial, coeff, max_size=8)))
+        coord = st.floats(-2.0, 2.0, allow_nan=False)
+        rows = data.draw(
+            st.lists(st.lists(coord, min_size=num_vars, max_size=num_vars), min_size=1, max_size=6)
+        )
+        pts = np.array(rows, dtype=float)
+        out = p.evaluate_array(pts)
+        assert out.shape == (len(rows),)
+        for row, val in zip(rows, out):
+            scale = sum(
+                abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(row, expo))
+                for expo, c in p.terms.items()
+            )
+            assert abs(val - p.evaluate(row)) <= 1e-12 * scale
 
 
 def test_mul_evaluate_consistency_random():
