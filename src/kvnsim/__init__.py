@@ -10,135 +10,4 @@ executed numerically on a spectral grid or an exact Gaussian backend
 config-driven commands.
 """
 
-from .expansion import ExpansionTerm, admissible_exponent_triples, expansion_coefficients
-from .gaussian import GaussianState, evolve_gaussian
-from .grid import (
-    CoverageError,
-    DensityGrid,
-    GridSpec,
-    GridState,
-    apply_gate,
-    apply_sequence,
-    born_density,
-    boundary_mass,
-    exact_controlled_shift,
-    measure_positions,
-    momentum_expectation,
-    position_expectation,
-    position_moments,
-    prepare_gaussian,
-)
-from .kvn import (
-    ClassicalHamiltonian,
-    DegreeError,
-    KvNHamiltonian,
-    KvNTerm,
-    SeparationError,
-    build_kvn,
-    liouvillian_apply,
-    validate_separation,
-)
-from .oracle import (
-    BlowUpError,
-    ClassicalEnsemble,
-    DensityComparison,
-    FlowMap,
-    compare_densities,
-    ensemble_evolve,
-    gaussian_density,
-    liouville_density,
-    liouville_density_grid,
-)
-from .phasepoly import (
-    PhasePolynomial,
-    SymplecticStructure,
-    format_polynomial,
-    parse_polynomial,
-    poisson_bracket,
-)
-from .synth import (
-    Gate,
-    GateKind,
-    GateSequence,
-    cx_via_cz,
-    gate_count_bound,
-    parse_gates,
-    serialize_gates,
-    synthesize_term,
-    trotter_circuit,
-)
-from .weyl import (
-    ComplexRational,
-    DecompositionProof,
-    NonTerminatingAdjointError,
-    WeylPolynomial,
-    adjoint_series,
-    commutator,
-    verify_key_decomposition,
-    verify_liouvillian_product_rule,
-    weyl_mul,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClassicalEnsemble",
-    "ClassicalHamiltonian",
-    "ComplexRational",
-    "CoverageError",
-    "BlowUpError",
-    "DecompositionProof",
-    "DegreeError",
-    "DensityComparison",
-    "DensityGrid",
-    "ExpansionTerm",
-    "FlowMap",
-    "Gate",
-    "GateKind",
-    "GateSequence",
-    "GaussianState",
-    "GridSpec",
-    "GridState",
-    "KvNHamiltonian",
-    "KvNTerm",
-    "NonTerminatingAdjointError",
-    "PhasePolynomial",
-    "SeparationError",
-    "SymplecticStructure",
-    "WeylPolynomial",
-    "admissible_exponent_triples",
-    "adjoint_series",
-    "apply_gate",
-    "apply_sequence",
-    "born_density",
-    "boundary_mass",
-    "build_kvn",
-    "commutator",
-    "compare_densities",
-    "cx_via_cz",
-    "ensemble_evolve",
-    "evolve_gaussian",
-    "exact_controlled_shift",
-    "expansion_coefficients",
-    "format_polynomial",
-    "gate_count_bound",
-    "gaussian_density",
-    "liouville_density",
-    "liouville_density_grid",
-    "liouvillian_apply",
-    "measure_positions",
-    "momentum_expectation",
-    "parse_gates",
-    "parse_polynomial",
-    "poisson_bracket",
-    "position_expectation",
-    "position_moments",
-    "prepare_gaussian",
-    "serialize_gates",
-    "synthesize_term",
-    "trotter_circuit",
-    "validate_separation",
-    "verify_key_decomposition",
-    "verify_liouvillian_product_rule",
-    "weyl_mul",
-]

@@ -27,12 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import BACKENDS, ConfigError, ExperimentConfig, check_backend, load_config
 from .expansion import admissible_exponent_triples
 from .gaussian import GaussianState, evolve_gaussian
 from .grid import (
     DensityGrid,
-    GridSpec,
     apply_sequence,
     born_density,
     boundary_mass,
@@ -123,22 +122,15 @@ class EvolutionResult:
 
 
 def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
-    spec = GridSpec(
-        num_modes=config.num_modes,
-        points_per_mode=config.points_per_mode,
-        half_extent=config.half_extent,
-    )
+    spec = config.spec
+    samples = None
     if config.backend == "gaussian":
         state = GaussianState.from_position_density(config.mean, config.covariance)
         evolved = evolve_gaussian(state, config.kvn, config.t)
         mean = evolved.position_mean()
         cov = evolved.position_cov()
-        xs = spec.positions()
-        mesh = np.meshgrid(*([xs] * spec.num_modes), indexing="ij")
-        points = np.stack(mesh, axis=-1)
-        density = DensityGrid(spec, gaussian_density(mean, cov)(points))
+        density = DensityGrid(spec, gaussian_density(mean, cov)(spec.mesh()))
         metrics = {"boundary_mass": 0.0, "norm_error": 0.0}
-        samples = None
         if config.num_samples:
             rng = np.random.default_rng(config.seed)
             samples = rng.multivariate_normal(mean, cov, size=config.num_samples)
@@ -152,13 +144,12 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
             "boundary_mass": boundary_mass(evolved),
             "norm_error": abs(evolved.norm() - 1.0),
         }
-        samples = None
         if config.num_samples:
             samples = measure_positions(evolved, config.num_samples, config.seed)
     return EvolutionResult(density, mean, cov, metrics, samples)
 
 
-def _write_outputs(config: ExperimentConfig, result: EvolutionResult, out_dir: Path) -> None:
+def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "density.csv").write_text(density_to_csv(result.density))
     (out_dir / "moments.csv").write_text(
@@ -168,11 +159,21 @@ def _write_outputs(config: ExperimentConfig, result: EvolutionResult, out_dir: P
         (out_dir / "samples.csv").write_text(samples_to_csv(result.samples))
 
 
-def cmd_evolve(args) -> int:
+def _evolve(args) -> tuple[ExperimentConfig, EvolutionResult]:
+    """Load the config, apply the command-line overrides, evolve, write the CSVs."""
     config = load_config(args.config)
-    _apply_overrides(config, args)
+    if args.out:
+        config.outputs = Path(args.out)
+    if args.backend:
+        check_backend(args.backend, config.kvn)
+        config.backend = args.backend
     result = _run_evolution(config)
-    _write_outputs(config, result, config.outputs)
+    _write_outputs(result, config.outputs)
+    return config, result
+
+
+def cmd_evolve(args) -> int:
+    config, result = _evolve(args)
     mean_text = ", ".join(f"{m:.6g}" for m in result.mean)
     print(f"wrote {config.outputs}/density.csv moments.csv"
           + (" samples.csv" if result.samples is not None else ""))
@@ -182,10 +183,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    result = _run_evolution(config)
-    _write_outputs(config, result, config.outputs)
+    config, result = _evolve(args)
     flow = FlowMap(config.hamiltonian)
     rho0 = gaussian_density(config.mean, config.covariance)
     reference = liouville_density_grid(flow, rho0, config.t, result.density.spec)
@@ -206,18 +204,6 @@ def cmd_verify(args) -> int:
         return EXIT_THRESHOLD
     print("verification PASS")
     return EXIT_OK
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> None:
-    if getattr(args, "out", None):
-        config.outputs = Path(args.out)
-    backend = getattr(args, "backend", None)
-    if backend:
-        if backend == "gaussian" and not config.kvn.is_quadratic():
-            raise ConfigError(
-                "backend: the gaussian backend requires a quadratic KvN generator"
-            )
-        config.backend = backend
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--out", help="output directory (overrides config)")
             p.add_argument(
-                "--backend", choices=("grid", "gaussian"),
+                "--backend", choices=BACKENDS,
                 help="backend override",
             )
         p.set_defaults(func=func)

@@ -10,12 +10,13 @@ compatibility), so a bad config never reaches the numerics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grid import CoverageError, GridSpec, GridSpecError, check_coverage
+from .grid import MAX_MODES, GridSpec, GridSpecError, check_gaussian
 from .kvn import (
     ClassicalHamiltonian,
     DegreeError,
@@ -27,13 +28,16 @@ from .kvn import (
 from .phasepoly import parse_polynomial
 
 CONFIG_VERSION = 1
+BACKENDS = ("grid", "gaussian")
 
-# The config field behind each GridSpec parameter (each qumode carries one
-# of the 2n phase-space coordinates).
+# The config field behind each parameter named in the errors of GridSpec and
+# check_gaussian (each qumode carries one of the 2n phase-space coordinates).
 _GRID_FIELDS = {
     "num_modes": "hamiltonian.n",
     "points_per_mode": "grid.points_per_mode",
     "half_extent": "grid.half_extent",
+    "mean": "initial_density.mean",
+    "cov": "initial_density.covariance",
 }
 
 
@@ -43,16 +47,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class VerifyThresholds:
-    tv: float = 0.05
-    first_moment: float = 0.05
-
-    def __post_init__(self):
-        for name, value in (
-            ("verify.tv_threshold", self.tv),
-            ("verify.moment_threshold", self.first_moment),
-        ):
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name}: must be positive and finite, got {value}")
+    tv: float
+    first_moment: float
 
 
 @dataclass
@@ -62,20 +58,17 @@ class ExperimentConfig:
     hamiltonian: polynomial literal over 2n variables plus n; must split
     into V(positions) + T(momenta) of degree at most four.
     initial_density: Gaussian mean/covariance over the 2n coordinates.
-    grid: points per qumode and half extent (each coordinate gets one
-    qumode). evolution: time, Trotter steps and product-formula order.
+    spec: the validated grid (each coordinate gets one qumode).
+    evolution: time, Trotter steps and product-formula order.
     backend: "grid" or "gaussian"; the Gaussian backend is exact but only
     defined when the KvN generator is quadratic.
     """
 
-    n: int
-    hamiltonian_text: str
     hamiltonian: ClassicalHamiltonian
     kvn: KvNHamiltonian
     mean: np.ndarray
     covariance: np.ndarray
-    points_per_mode: int
-    half_extent: float
+    spec: GridSpec
     t: float
     n_steps: int
     order: int
@@ -83,35 +76,107 @@ class ExperimentConfig:
     num_samples: int
     seed: int
     outputs: Path
-    verify: VerifyThresholds = field(default_factory=VerifyThresholds)
+    verify: VerifyThresholds
 
     @property
     def num_modes(self) -> int:
-        return 2 * self.n
+        return self.spec.num_modes
+
+    @property
+    def points_per_mode(self) -> int:
+        return self.spec.points_per_mode
+
+    @property
+    def half_extent(self) -> float:
+        return self.spec.half_extent
 
 
-def _require(data: dict, key: str, section: str) -> object:
-    if key not in data:
-        raise ConfigError(f"{section}: missing required field {key!r}")
-    return data[key]
+def check_backend(backend: str, kvn: KvNHamiltonian) -> None:
+    """The grid backend runs any generator, the exact Gaussian one only a quadratic."""
+    if backend not in BACKENDS:
+        raise ConfigError('backend: must be "grid" or "gaussian"')
+    if backend == "gaussian" and not kvn.is_quadratic():
+        raise ConfigError(
+            "backend: the gaussian backend requires an at most quadratic KvN "
+            "generator (quadratic Hamiltonian); use the grid backend"
+        )
+
+
+_REQUIRED = object()
+
+
+def _read(data: dict, path: str, kind, default=_REQUIRED):
+    """The field at the dotted ``path``, checked by ``kind(value, path)``. A
+    missing section reads as ``{}``; only a field without default is required."""
+    name, _, key = path.rpartition(".")
+    section = data.get(name, {}) if name else data
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a JSON object")
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name or 'config'}: missing required field {key!r}")
+        return default
+    return kind(section[key], path)
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: must be an integer")
+    return value
+
+
+def _number(value, name: str) -> float:
+    # abs(value) <= max also rejects NaN and never converts a huge int.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name}: must be a finite number")
+    return float(value)
+
+
+def _positive(value, name: str) -> float:
+    if _number(value, name) <= 0:
+        raise ConfigError(f"{name}: must be positive")
+    return float(value)
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: must be a string")
+    return value
+
+
+def _array(value, name: str) -> np.ndarray:
+    """A list, or a list of equal-length lists, of numbers (not booleans,
+    which NumPy would read as 0 and 1); check_gaussian judges the shape."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or any(
+            isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise ConfigError(f"{name}: must be a list of numbers or of equal-length lists")
+    return array.astype(float)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
-    version = data.get("version", CONFIG_VERSION)
+    version = _read(data, "version", _integer, CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(
             f"version: unsupported config version {version}, expected {CONFIG_VERSION}"
         )
 
-    ham = _require(data, "hamiltonian", "config")
-    n = int(_require(ham, "n", "hamiltonian"))
-    if n < 1:
-        raise ConfigError("hamiltonian.n: must be a positive integer")
-    text = str(_require(ham, "H", "hamiltonian"))
+    n = _read(data, "hamiltonian.n", _integer)
+    if not 1 <= n <= MAX_MODES // 2:
+        raise ConfigError(
+            f"hamiltonian.n: must be between 1 and {MAX_MODES // 2} (the grid "
+            f"holds at most {MAX_MODES} qumodes, one per coordinate), got {n}"
+        )
     try:
-        raw = parse_polynomial(text, 2 * n)
+        raw = parse_polynomial(_read(data, "hamiltonian.H", _string), 2 * n)
     except ValueError as exc:
         raise ConfigError(f"hamiltonian.H: {exc}") from exc
     try:
@@ -127,81 +192,53 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ) from exc
     kvn = build_kvn(hamiltonian)
 
-    density = _require(data, "initial_density", "config")
-    mean = np.asarray(_require(density, "mean", "initial_density"), dtype=float)
-    cov = np.asarray(_require(density, "covariance", "initial_density"), dtype=float)
-    if mean.shape != (2 * n,):
-        raise ConfigError(f"initial_density.mean: expected {2 * n} entries")
-    if cov.shape != (2 * n, 2 * n):
-        raise ConfigError(f"initial_density.covariance: expected a {2 * n}x{2 * n} matrix")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ConfigError("initial_density.covariance: must be symmetric")
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise ConfigError("initial_density.covariance: must be positive definite")
-
-    grid = data.get("grid", {})
-    points = int(grid.get("points_per_mode", 128))
-    half_extent = float(grid.get("half_extent", 8.0))
+    mean = _read(data, "initial_density.mean", _array)
+    cov = _read(data, "initial_density.covariance", _array)
     try:
-        spec = GridSpec(2 * n, points, half_extent)
+        spec = GridSpec(
+            2 * n,
+            _read(data, "grid.points_per_mode", _integer, 128),
+            _read(data, "grid.half_extent", _number, 8.0),
+        )
+        check_gaussian(spec, mean, cov)
     except GridSpecError as exc:
         raise ConfigError(f"{_GRID_FIELDS[exc.param]}: {exc}") from exc
-    try:
-        check_coverage(spec, mean, cov)
-    except CoverageError as exc:
-        raise ConfigError(f"grid.half_extent: {exc}") from exc
 
-    evolution = _require(data, "evolution", "config")
-    t = float(_require(evolution, "t", "evolution"))
-    if not np.isfinite(t):
-        raise ConfigError("evolution.t: must be finite")
-    n_steps = int(evolution.get("n_steps", 100))
+    t = _read(data, "evolution.t", _number)
+    n_steps = _read(data, "evolution.n_steps", _integer, 100)
     if n_steps < 1:
         raise ConfigError("evolution.n_steps: must be a positive integer")
-    order = int(evolution.get("order", 1))
+    order = _read(data, "evolution.order", _integer, 1)
     if order not in (1, 2):
         raise ConfigError("evolution.order: must be 1 or 2")
 
-    backend = str(data.get("backend", "grid"))
-    if backend not in ("grid", "gaussian"):
-        raise ConfigError('backend: must be "grid" or "gaussian"')
-    if backend == "gaussian" and not kvn.is_quadratic():
-        raise ConfigError(
-            "backend: the gaussian backend requires an at most quadratic KvN "
-            "generator (quadratic Hamiltonian); use the grid backend"
-        )
+    backend = _read(data, "backend", _string, "grid")
+    check_backend(backend, kvn)
 
-    sampling = data.get("sampling", {})
-    num_samples = int(sampling.get("num_samples", 0))
+    num_samples = _read(data, "sampling.num_samples", _integer, 0)
     if num_samples < 0:
         raise ConfigError("sampling.num_samples: must be nonnegative")
-    seed = int(sampling.get("seed", 0))
-
-    outputs = Path(str(data.get("outputs", "out")))
-
-    verify_data = data.get("verify", {})
-    verify = VerifyThresholds(
-        tv=float(verify_data.get("tv_threshold", 0.05)),
-        first_moment=float(verify_data.get("moment_threshold", 0.05)),
-    )
+    seed = _read(data, "sampling.seed", _integer, 0)
+    if seed < 0:
+        raise ConfigError("sampling.seed: must be nonnegative")
 
     return ExperimentConfig(
-        n=n,
-        hamiltonian_text=text,
         hamiltonian=hamiltonian,
         kvn=kvn,
         mean=mean,
         covariance=cov,
-        points_per_mode=points,
-        half_extent=half_extent,
+        spec=spec,
         t=t,
         n_steps=n_steps,
         order=order,
         backend=backend,
         num_samples=num_samples,
         seed=seed,
-        outputs=outputs,
-        verify=verify,
+        outputs=Path(_read(data, "outputs", _string, "out")),
+        verify=VerifyThresholds(
+            tv=_read(data, "verify.tv_threshold", _positive, 0.05),
+            first_moment=_read(data, "verify.moment_threshold", _positive, 0.05),
+        ),
     )
 
 
@@ -211,6 +248,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

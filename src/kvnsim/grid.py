@@ -59,15 +59,10 @@ import numpy as np
 import scipy.fft as sfft
 
 from .kvn import KvNTerm
-from .phasepoly import PhasePolynomial
 from .synth import Gate, GateKind, GateSequence
 
-DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
+MEMORY_CAP_BYTES = 2 * 1024 ** 3
 MAX_MODES = 4
-
-
-class CoverageError(ValueError):
-    """The grid cannot contain the requested state."""
 
 
 class BlowUpError(RuntimeError):
@@ -75,11 +70,16 @@ class BlowUpError(RuntimeError):
 
 
 class GridSpecError(ValueError):
-    """Invalid grid geometry; ``param`` names the offending GridSpec field."""
+    """Invalid grid input; ``param`` names a GridSpec field, or the ``mean``
+    or ``cov`` of a Gaussian put on the grid."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)
         self.param = param
+
+
+class CoverageError(GridSpecError):
+    """The grid cannot contain the requested state."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class GridSpec:
     num_modes: int
     points_per_mode: int = 128
     half_extent: float = 8.0
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
         if not 1 <= self.num_modes <= MAX_MODES:
@@ -109,11 +108,11 @@ class GridSpec:
                 f"half_extent must be positive and finite, got {self.half_extent}",
             )
         state_bytes = 16 * n ** self.num_modes
-        if state_bytes > self.memory_cap_bytes:
+        if state_bytes > MEMORY_CAP_BYTES:
             raise GridSpecError(
                 "points_per_mode",
                 f"state of {state_bytes} bytes exceeds the memory cap of "
-                f"{self.memory_cap_bytes} bytes",
+                f"{MEMORY_CAP_BYTES} bytes",
             )
 
     @property
@@ -135,6 +134,11 @@ class GridSpec:
     def positions(self) -> np.ndarray:
         n = self.points_per_mode
         return (np.arange(n) - n // 2) * self.dx
+
+    def mesh(self) -> np.ndarray:
+        """Cell centres, shape ``shape + (num_modes,)``."""
+        xs = self.positions()
+        return np.stack(np.meshgrid(*([xs] * self.num_modes), indexing="ij"), axis=-1)
 
     def momenta_fft_order(self) -> np.ndarray:
         return 2.0 * np.pi * sfft.fftfreq(self.points_per_mode, d=self.dx)
@@ -179,14 +183,24 @@ class DensityGrid:
         return float(np.sum(self.values) * self.spec.cell_volume)
 
 
-def check_coverage(spec: GridSpec, mean: np.ndarray, cov: np.ndarray) -> None:
-    """Raise CoverageError when the grid cannot hold the 2-sigma box of the
-    Gaussian N(mean, cov)."""
+def check_gaussian(spec: GridSpec, mean: np.ndarray, cov: np.ndarray) -> None:
+    """Raise GridSpecError unless N(mean, cov) is a finite Gaussian over the
+    grid's axes, and CoverageError unless the grid holds its 2-sigma box."""
+    d = spec.num_modes
+    if mean.shape != (d,) or not np.all(np.isfinite(mean)):
+        raise GridSpecError("mean", f"mean must be {d} finite numbers")
+    if cov.shape != (d, d) or not np.all(np.isfinite(cov)):
+        raise GridSpecError("cov", f"covariance must be a finite {d}x{d} matrix")
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise GridSpecError("cov", "covariance must be symmetric")
+    if np.linalg.eigvalsh(cov).min() <= 0:
+        raise GridSpecError("cov", "covariance must be positive definite")
     reach = np.abs(mean) + 2 * np.sqrt(np.diag(cov))
     if np.any(reach > spec.half_extent):
         raise CoverageError(
+            "half_extent",
             "grid does not contain the 2-sigma box of the requested Gaussian "
-            f"(it reaches {float(reach.max())!r} > half_extent {spec.half_extent!r})"
+            f"(it reaches {float(reach.max())!r} > half_extent {spec.half_extent!r})",
         )
 
 
@@ -196,20 +210,13 @@ def prepare_gaussian(
     """Discretize the Gaussian wavefunction with |psi|^2 = N(mean, cov).
 
     psi(x) is proportional to exp(-(x-mean)^T cov^-1 (x-mean) / 4), sampled
-    at cell centers and renormalized on the grid. Raises CoverageError when
-    the grid cannot hold the 2-sigma ellipsoid; warns when 5 sigma spills.
+    at cell centers and renormalized on the grid. Raises the errors of
+    check_gaussian; warns when 5 sigma spills over the grid.
     """
     d = spec.num_modes
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    if mean.shape != (d,) or cov.shape != (d, d):
-        raise ValueError(f"mean/covariance must have dimension {d}")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals.min() <= 0:
-        raise ValueError("covariance must be positive definite")
-    check_coverage(spec, mean, cov)
+    check_gaussian(spec, mean, cov)
     if np.any(np.abs(mean) + 5 * np.sqrt(np.diag(cov)) > spec.half_extent):
         warnings.warn(
             "grid covers less than 5 sigma of the requested Gaussian; "
@@ -392,19 +399,6 @@ def apply_sequence(state: GridState, seq: GateSequence) -> GridState:
     return _run_plan(state, seq)
 
 
-def _factor_on_grid(spec: GridSpec, poly: PhasePolynomial) -> np.ndarray:
-    """Evaluate a position polynomial on the grid, broadcast-shaped."""
-    xs = spec.positions()
-    total = np.zeros((1,) * spec.num_modes, dtype=float)
-    for expo, coeff in poly.terms.items():
-        term = np.full((1,) * spec.num_modes, float(coeff))
-        for i, e in enumerate(expo):
-            if e:
-                term = term * spec.axis_view(xs, i) ** e
-        total = total + term
-    return total
-
-
 def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridState:
     """Reference action of exp(-i s sign factor(X) P_mode).
 
@@ -418,7 +412,7 @@ def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridSta
             f"term over {term.num_modes} modes applied to a "
             f"{spec.num_modes}-mode state"
         )
-    g = term.sign * _factor_on_grid(spec, term.factor)
+    g = term.sign * term.factor.evaluate_array(spec.mesh())
     p = spec.axis_view(spec.momenta_fft_order(), term.mode)
     psi = _fft(state.psi.copy(), term.mode)
     psi *= np.exp(-1j * s * g * p)

@@ -142,9 +142,6 @@ class KvNTerm:
     def num_modes(self) -> int:
         return self.factor.num_vars
 
-    def generator_degree(self) -> int:
-        return self.factor.degree() + 1
-
     def is_block_separated(self) -> bool:
         """True when the factor lives entirely in the coordinate block
         opposite to the mode's block, as every Hamiltonian-derived term

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BlowUpError, DensityGrid, GridSpec
+from .grid import BlowUpError, DensityGrid, GridSpec, position_moments
 from .kvn import ClassicalHamiltonian
 from .phasepoly import PhasePolynomial
 
@@ -213,17 +213,10 @@ def liouville_density(
 def liouville_density_grid(
     map: FlowMap, rho0: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec
 ) -> DensityGrid:
-    """Evaluate the characteristics solution at every grid cell center."""
-    dim = 2 * map.hamiltonian.n
-    if spec.num_modes != dim:
-        raise ValueError(
-            f"grid has {spec.num_modes} axes but phase space has dimension {dim}"
-        )
-    xs = spec.positions()
-    mesh = np.meshgrid(*([xs] * dim), indexing="ij")
-    points = np.stack(mesh, axis=-1).reshape(-1, dim)
-    origins = map.flow_array(points, -t)
-    values = np.asarray(rho0(origins), dtype=float).reshape(spec.shape)
+    """Evaluate the characteristics solution at every grid cell center; the
+    grid needs one axis per phase-space coordinate."""
+    origins = map.flow_array(spec.mesh(), -t)
+    values = np.asarray(rho0(origins), dtype=float)
     return DensityGrid(spec, values)
 
 
@@ -256,8 +249,6 @@ def compare_densities(a: DensityGrid, b: DensityGrid) -> DensityComparison:
     """Compare two densities sampled on the same grid."""
     if a.spec != b.spec:
         raise ValueError("densities live on different grids")
-    from .grid import position_moments
-
     tv = 0.5 * float(np.sum(np.abs(a.values - b.values)) * a.spec.cell_volume)
     mean_a, cov_a = position_moments(a)
     mean_b, cov_b = position_moments(b)

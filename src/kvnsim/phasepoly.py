@@ -14,7 +14,6 @@ then lexicographic on the exponent vector), descending.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -299,26 +298,6 @@ def poisson_bracket(p: PhasePolynomial, q: PhasePolynomial) -> PhasePolynomial:
     return out
 
 
-@dataclass(frozen=True)
-class SymplecticStructure:
-    """The canonical symplectic matrix J = [[0, I], [-I, 0]] for n degrees
-    of freedom; satisfies J^2 = -I and J^T = -J exactly."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-
-    def matrix(self) -> np.ndarray:
-        """Return J as an exact integer array of shape (2n, 2n)."""
-        n = self.n
-        j = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        j[:n, n:] = np.eye(n, dtype=np.int64)
-        j[n:, :n] = -np.eye(n, dtype=np.int64)
-        return j
-
-
 # -- literal format ---------------------------------------------------------
 #
 # A polynomial literal is a sum of terms ``c * x1^a1 * ... * xk^ak`` with
@@ -331,10 +310,6 @@ _TERM_RE = re.compile(
     r"^\s*(?P<coeff>\d+(?:/\d+|\.\d+)?)?\s*\*?\s*(?P<vars>(?:\s*\*?\s*x\d+(?:\^\d+)?)*)\s*$"
 )
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
 
 
 def format_polynomial(p: PhasePolynomial) -> str:
@@ -352,9 +327,9 @@ def format_polynomial(p: PhasePolynomial) -> str:
         if factors:
             body = " * ".join(factors)
             if mag != 1:
-                body = f"{_format_coeff(mag)} * {body}"
+                body = f"{mag} * {body}"
         else:
-            body = _format_coeff(mag)
+            body = str(mag)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -386,7 +361,10 @@ def parse_polynomial(text: str, num_vars: int) -> PhasePolynomial:
         m = _TERM_RE.match(chunk)
         if not m or (not m.group("coeff") and not m.group("vars").strip()):
             raise ValueError(f"cannot parse polynomial term {chunk!r}")
-        coeff = sign * (Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1))
+        try:
+            coeff = sign * Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in polynomial term {chunk!r}") from None
         expo = [0] * num_vars
         for vm in _VAR_RE.finditer(m.group("vars")):
             idx = int(vm.group(1)) - 1

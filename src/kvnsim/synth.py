@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .expansion import expansion_coefficients
 from .kvn import KvNHamiltonian, KvNTerm
@@ -128,9 +127,7 @@ def _inner_phase_gate(mode: int, degree: int, strength: float) -> Gate:
     raise ValueError(f"no phase gate of degree {degree}")
 
 
-def _synthesize_monomial(
-    exponents: dict[int, int], strength: float, target: int, num_modes: int
-) -> list[Gate]:
+def _synthesize_monomial(exponents: dict[int, int], strength: float, target: int) -> list[Gate]:
     """Gates for exp(-i * strength * prod_c X_c^e_c * P_target)."""
     degree = sum(exponents.values())
     if degree == 0:
@@ -177,7 +174,7 @@ def synthesize_term(term: KvNTerm, s: float) -> GateSequence:
     for expo, coeff in term.factor.sorted_terms():
         exponents = {i: e for i, e in enumerate(expo) if e}
         strength = s * term.sign * float(coeff)
-        gates.extend(_synthesize_monomial(exponents, strength, term.mode, num_modes))
+        gates.extend(_synthesize_monomial(exponents, strength, term.mode))
     return GateSequence(num_modes, tuple(gates))
 
 

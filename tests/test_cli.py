@@ -1,15 +1,20 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvnsim.cli import main
-from kvnsim.config import ConfigError, load_config
+from kvnsim.config import ConfigError, config_from_dict, load_config
 from kvnsim.grid import GridSpec, born_density, prepare_gaussian
 
+QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
 
-def write_config(path, **overrides):
-    data = {
+
+def config_dict():
+    return {
         "version": 1,
         "hamiltonian": {"n": 1, "H": "1/2 * x2^2 + 1/2 * x1^2"},
         "initial_density": {
@@ -20,9 +25,14 @@ def write_config(path, **overrides):
         "evolution": {"t": 1.5707963267948966, "n_steps": 50, "order": 2},
         "backend": "grid",
         "sampling": {"num_samples": 200, "seed": 7},
-        "outputs": str(path.parent / "out"),
+        "outputs": "out",
         "verify": {"tv_threshold": 0.05, "moment_threshold": 0.01},
     }
+
+
+def write_config(path, **overrides):
+    data = config_dict()
+    data["outputs"] = str(path.parent / "out")
     for key, value in overrides.items():
         if isinstance(value, dict) and isinstance(data.get(key), dict):
             data[key].update(value)
@@ -30,6 +40,23 @@ def write_config(path, **overrides):
             data[key] = value
     path.write_text(json.dumps(data))
     return path
+
+
+# Every field of a config, and a JSON value of each type to put in one.
+FUZZ_FIELDS = [
+    "version", "hamiltonian", "hamiltonian.n", "hamiltonian.H", "initial_density",
+    "initial_density.mean", "initial_density.covariance", "grid",
+    "grid.points_per_mode", "grid.half_extent", "evolution", "evolution.t",
+    "evolution.n_steps", "evolution.order", "backend", "sampling",
+    "sampling.num_samples", "sampling.seed", "outputs", "verify",
+    "verify.tv_threshold", "verify.moment_threshold",
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
 
 
 class TestConfigValidation:
@@ -73,6 +100,20 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.json", version=99)
         with pytest.raises(ConfigError, match="version"):
             load_config(cfg)
+
+    @settings(deadline=None)
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+    def test_any_field_value_returns_or_raises_config_error(self, field, value):
+        data = config_dict()
+        *sections, key = field.split(".")
+        target = data
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        try:
+            config_from_dict(data)
+        except ConfigError:
+            pass
 
 
 class TestExitCodes:
@@ -139,6 +180,53 @@ class TestExitCodes:
         code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert code == 2
         assert "grid.half_extent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"hamiltonian": {"n": "x"}}, "hamiltonian.n"),
+            ({"hamiltonian": {"n": 1.7}}, "hamiltonian.n"),
+            ({"hamiltonian": {"n": 100000}}, "hamiltonian.n"),
+            # checked before parsing, which would need 2n-long exponent lists
+            ({"hamiltonian": {"n": 10**12}}, "hamiltonian.n"),
+            ({"hamiltonian": {"H": "1/0 * x1^2"}}, "hamiltonian.H"),
+            ({"grid": {"points_per_mode": "abc"}}, "grid.points_per_mode"),
+            ({"grid": {"points_per_mode": 64.9}}, "grid.points_per_mode"),
+            ({"grid": [64, 8]}, "grid"),
+            ({"grid": {"half_extent": "big"}}, "grid.half_extent"),
+            ({"evolution": {"t": "soon"}}, "evolution.t"),
+            ({"evolution": {"n_steps": None}}, "evolution.n_steps"),
+            ({"evolution": {"n_steps": 10.7}}, "evolution.n_steps"),
+            ({"initial_density": {"mean": "x"}}, "initial_density.mean"),
+            ({"initial_density": {"mean": [1, True]}}, "initial_density.mean"),
+            ({"initial_density": {"mean": [float("nan"), 0.0]}}, "initial_density.mean"),
+            (
+                {"initial_density": {"covariance": [[0.5, 0.0], [0.0]]}},
+                "initial_density.covariance",
+            ),
+            ({"sampling": {"seed": "x"}}, "sampling.seed"),
+            ({"sampling": {"seed": -1}}, "sampling.seed"),
+            ({"verify": 5}, "verify"),
+            ({"verify": {"tv_threshold": "x"}}, "verify.tv_threshold"),
+            ({"outputs": ["a"]}, "outputs"),
+        ],
+    )
+    def test_malformed_value_exit_code(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: {field}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "v").exists()
+
+    def test_gaussian_backend_override_needs_quadratic_generator(self, tmp_path, capsys):
+        code = main([
+            "evolve", "--config", str(QUARTIC_CONFIG), "--out", str(tmp_path / "v"),
+            "--backend", "gaussian",
+        ])
+        assert code == 2
+        assert "gaussian backend" in capsys.readouterr().err
 
     def test_identities_exit_zero(self, capsys):
         assert main(["identities"]) == 0

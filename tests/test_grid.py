@@ -323,6 +323,28 @@ class TestTrotterOnGrid:
             errors.append(np.linalg.norm(mean - exact))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
+    @pytest.mark.parametrize(
+        "order, steps", [(1, (25, 50, 100, 200)), (2, (5, 10, 20, 40))]
+    )
+    def test_trotter_error_scales_with_its_order(self, order, steps):
+        # the grid mean's error against the exact Gaussian flow falls as
+        # n_steps^-order (quadratic generator, so only Trotter error remains)
+        h = validate_separation(parse_polynomial("1/2 * x2^2 + 1/2 * x1^2", 2), 1)
+        kvn = build_kvn(h)
+        state = prepare_gaussian(SPEC2, [1.0, 0.0], 0.5 * np.eye(2))
+        exact = evolve_gaussian(
+            GaussianState.from_position_density(np.array([1.0, 0.0]), 0.5 * np.eye(2)),
+            kvn,
+            1.3,
+        ).position_mean()
+        errors = []
+        for n in steps:
+            out = apply_sequence(state, trotter_circuit(kvn, 1.3, n, order))
+            mean, _ = position_moments(born_density(out))
+            errors.append(np.linalg.norm(mean - exact))
+        slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+        assert abs(slope + order) <= 0.2
+
     def test_time_reversal_composes_to_identity(self):
         h = validate_separation(
             parse_polynomial("1/2 * x2^2 + 1/2 * x1^2 + 1/40 * x1^4", 2), 1

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kvnsim.phasepoly import (
     PhasePolynomial,
-    SymplecticStructure,
     format_polynomial,
     parse_polynomial,
     poisson_bracket,
@@ -203,21 +202,6 @@ def test_mul_evaluate_consistency_random():
             lhs = prod.evaluate(x)
             rhs = p.evaluate(x) * q.evaluate(x)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-class TestSymplecticStructure:
-    def test_square_is_minus_identity(self):
-        for n in (1, 2, 3):
-            j = SymplecticStructure(n).matrix()
-            assert np.array_equal(j @ j, -np.eye(2 * n, dtype=np.int64))
-
-    def test_antisymmetric(self):
-        j = SymplecticStructure(2).matrix()
-        assert np.array_equal(j.T, -j)
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            SymplecticStructure(0)
 
 
 class TestPoissonBracket:
