@@ -107,6 +107,12 @@ class GridSpec:
                 "half_extent",
                 f"half_extent must be positive and finite, got {self.half_extent}",
             )
+        # dx first: dp divides by it
+        if not 0 < self.dx < np.inf or not self.dp < np.inf:
+            raise GridSpecError(
+                "half_extent",
+                f"half_extent {self.half_extent} gives a non-finite grid spacing",
+            )
         state_bytes = 16 * n ** self.num_modes
         if state_bytes > MEMORY_CAP_BYTES:
             raise GridSpecError(

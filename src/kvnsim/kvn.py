@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .phasepoly import PhasePolynomial, format_polynomial, poisson_bracket
+from .phasepoly import PhasePolynomial, format_polynomial
 from .weyl import WeylPolynomial
 
 
@@ -154,9 +154,8 @@ class KvNTerm:
         return self.factor.support() <= allowed
 
     def to_weyl(self) -> WeylPolynomial:
-        m = self.num_modes
-        op = WeylPolynomial.from_position_polynomial(self.factor, m)
-        return op * WeylPolynomial.p(m, self.mode) * Fraction(self.sign)
+        op = WeylPolynomial.from_position_polynomial(self.factor)
+        return op * WeylPolynomial.p(self.num_modes, self.mode) * Fraction(self.sign)
 
 
 @dataclass(frozen=True)
@@ -226,15 +225,6 @@ def build_kvn(h: ClassicalHamiltonian) -> KvNHamiltonian:
     return KvNHamiltonian(n=h.n, terms=tuple(terms))
 
 
-def liouvillian_apply(h: ClassicalHamiltonian, f: PhasePolynomial) -> PhasePolynomial:
-    """Apply the Liouville operator of h to f: L[f] = {H, f}."""
-    if f.num_vars != h.num_vars:
-        raise ValueError(
-            f"dimension mismatch: f has {f.num_vars} variables, expected {h.num_vars}"
-        )
-    return poisson_bracket(h.total(), f)
-
-
 def kvn_from_liouvillian(h: ClassicalHamiltonian) -> WeylPolynomial:
     """Build i L directly as an operator, bypassing the term bookkeeping.
 
@@ -244,10 +234,8 @@ def kvn_from_liouvillian(h: ClassicalHamiltonian) -> WeylPolynomial:
     total = h.total()
     out = WeylPolynomial.zero(m)
     for j in range(h.n):
-        dv = WeylPolynomial.from_position_polynomial(total.partial_derivative(j), m)
-        dt = WeylPolynomial.from_position_polynomial(
-            total.partial_derivative(h.n + j), m
-        )
+        dv = WeylPolynomial.from_position_polynomial(total.partial_derivative(j))
+        dt = WeylPolynomial.from_position_polynomial(total.partial_derivative(h.n + j))
         # i L = i ( dH/dx_j (i P_{n+j}) - dH/dx_{n+j} (i P_j) )
         out = out - dv * WeylPolynomial.p(m, h.n + j)
         out = out + dt * WeylPolynomial.p(m, j)

@@ -32,19 +32,40 @@ def _as_fraction(value: _Coeff) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
 
 
-class PhasePolynomial:
-    """Sparse polynomial with exact rational coefficients.
+def _accumulate(terms: dict, expo: Monomial, coeff) -> None:
+    """Add ``coeff`` to ``terms[expo]``, dropping the entry when it cancels."""
+    acc = terms.get(expo)
+    val = coeff if acc is None else acc + coeff
+    if val:
+        terms[expo] = val
+    else:
+        terms.pop(expo, None)
 
-    Supports ``+``, ``-``, ``*`` (polynomial or scalar) and ``**`` with the
-    usual meanings. Instances are treated as immutable values.
+
+class SparsePolynomial:
+    """Immutable sparse map from exponent multi-indices to nonzero exact
+    coefficients, shared by ``PhasePolynomial`` and ``weyl.WeylPolynomial``.
+
+    The constructor's ``size`` counts modes of ``_VARS_PER_MODE`` variables
+    each: one for a phase-space polynomial, two (X and P) for an operator.
+    Every multi-index has ``num_vars`` entries.
+    A subclass fixes its coefficient type (``_coerce`` and the accepted
+    ``_SCALARS``) and the product of two terms: ``_term_product(e1, e2, c)``
+    yields the (multi-index, coefficient) pairs that sum to c times monomial
+    e1 times monomial e2. Values of different subclasses never combine or
+    compare equal.
     """
 
     __slots__ = ("num_vars", "terms")
 
-    def __init__(self, num_vars: int, terms: Mapping[Monomial, _Coeff] | None = None):
-        if num_vars < 1:
-            raise ValueError(f"num_vars must be positive, got {num_vars}")
-        clean: dict[Monomial, Fraction] = {}
+    _VARS_PER_MODE = 1
+    _MISMATCH = "dimension mismatch: {} vs {} variables"
+
+    def __init__(self, size: int, terms: Mapping | None = None):
+        if size < 1:
+            raise ValueError(f"{type(self).__name__} size must be positive, got {size}")
+        num_vars = self._VARS_PER_MODE * size
+        clean: dict = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(int(e) for e in expo)
@@ -54,29 +75,117 @@ class PhasePolynomial:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in multi-index {expo}")
-                c = _as_fraction(coeff)
-                if c:
-                    acc = clean.get(expo)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[expo] = c
-                    else:
-                        clean.pop(expo, None)
+                _accumulate(clean, expo, self._coerce(coeff))
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PhasePolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms: Mapping) -> "SparsePolynomial":
+        return type(self)(self.num_vars // self._VARS_PER_MODE, terms)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int) -> "PhasePolynomial":
-        return cls(num_vars)
+    def zero(cls, size: int):
+        return cls(size)
 
     @classmethod
-    def constant(cls, num_vars: int, value: _Coeff) -> "PhasePolynomial":
-        return cls(num_vars, {(0,) * num_vars: value})
+    def constant(cls, size: int, value):
+        return cls(size, {(0,) * (cls._VARS_PER_MODE * size): value})
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Total degree; the zero polynomial has degree -1 by convention."""
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def sorted_terms(self) -> list[tuple[Monomial, object]]:
+        """Terms in canonical (graded lexicographic, descending) order."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _check_compatible(self, other: "SparsePolynomial") -> None:
+        if self.num_vars != other.num_vars:
+            n = self._VARS_PER_MODE
+            raise ValueError(self._MISMATCH.format(self.num_vars // n, other.num_vars // n))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            _accumulate(terms, expo, coeff)
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            c = self._coerce(other)
+            return self._like({e: c * v for e, v in self.terms.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        terms: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                for expo, coeff in self._term_product(e1, e2, c1 * c2):
+                    _accumulate(terms, expo, coeff)
+        return self._like(terms)
+
+    def __rmul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self * other
+        return NotImplemented
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        out = self._like({(0,) * self.num_vars: 1})
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.num_vars == other.num_vars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.num_vars, frozenset(self.terms.items())))
+
+
+class PhasePolynomial(SparsePolynomial):
+    """Sparse polynomial with exact rational coefficients, built as
+    ``PhasePolynomial(num_vars, {multi_index: coeff})``.
+
+    Supports ``+``, ``-``, ``*`` (polynomial or scalar) and ``**`` with the
+    usual meanings. Instances are treated as immutable values.
+    """
+
+    __slots__ = ()
+
+    _SCALARS = (int, Fraction)
+    _coerce = staticmethod(_as_fraction)
+
+    def _term_product(self, e1: Monomial, e2: Monomial, coeff: Fraction):
+        yield tuple(a + b for a, b in zip(e1, e2)), coeff
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "PhasePolynomial":
@@ -91,26 +200,12 @@ class PhasePolynomial:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def support(self) -> set[int]:
         """Indices of variables that appear with a nonzero exponent."""
         out: set[int] = set()
         for expo in self.terms:
             out.update(i for i, e in enumerate(expo) if e)
         return out
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical (graded lexicographic, descending) order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def monomials(self) -> Iterator["PhasePolynomial"]:
         """Yield each term as a single-term polynomial, canonical order."""
@@ -120,83 +215,17 @@ class PhasePolynomial:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "PhasePolynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"dimension mismatch: {self.num_vars} vs {other.num_vars} variables"
-            )
-
-    def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        if not isinstance(other, PhasePolynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo)
-            val = coeff if acc is None else acc + coeff
-            if val:
-                terms[expo] = val
-            else:
-                terms.pop(expo, None)
-        return PhasePolynomial(self.num_vars, terms)
-
-    def __neg__(self) -> "PhasePolynomial":
-        return PhasePolynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PhasePolynomial):
-            self._check_compatible(other)
-            terms: dict[Monomial, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    expo = tuple(a + b for a, b in zip(e1, e2))
-                    val = terms.get(expo, Fraction(0)) + c1 * c2
-                    if val:
-                        terms[expo] = val
-                    else:
-                        terms.pop(expo, None)
-            return PhasePolynomial(self.num_vars, terms)
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return PhasePolynomial(self.num_vars, {e: c * v for e, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PhasePolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = PhasePolynomial.constant(self.num_vars, 1)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhasePolynomial):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
     # -- calculus ----------------------------------------------------------
 
     def partial_derivative(self, var: int) -> "PhasePolynomial":
         """Formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.num_vars:
             raise ValueError(f"variable index {var} out of range for {self.num_vars} variables")
-        terms: dict[Monomial, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            e = expo[var]
-            if e == 0:
-                continue
-            lowered = expo[:var] + (e - 1,) + expo[var + 1:]
-            terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
+        terms = {
+            expo[:var] + (expo[var] - 1,) + expo[var + 1:]: coeff * expo[var]
+            for expo, coeff in self.terms.items()
+            if expo[var]
+        }
         return PhasePolynomial(self.num_vars, terms)
 
     # -- evaluation --------------------------------------------------------
@@ -373,10 +402,5 @@ def parse_polynomial(text: str, num_vars: int) -> PhasePolynomial:
                     f"variable x{vm.group(1)} out of range for {num_vars} variables"
                 )
             expo[idx] += int(vm.group(2)) if vm.group(2) else 1
-        key = tuple(expo)
-        val = terms.get(key, Fraction(0)) + coeff
-        if val:
-            terms[key] = val
-        else:
-            terms.pop(key, None)
+        _accumulate(terms, tuple(expo), coeff)
     return PhasePolynomial(num_vars, terms)

@@ -229,25 +229,6 @@ def trotter_circuit(
     return GateSequence(num_modes, tuple(step) * n_steps)
 
 
-def gate_count_bound(term: KvNTerm) -> int:
-    """Upper bound on gates per term: a Fourier pair plus at most seven
-    gates (three CX pairs and one inner phase gate) per expansion term,
-    summed over the factor's monomials."""
-    total = 0
-    for expo, _ in term.factor.sorted_terms():
-        degree = sum(expo)
-        if degree == 0:
-            total += 3
-        elif degree == 1:
-            total += 1
-        else:
-            exponents = sorted((e for e in expo if e), reverse=True)
-            padded = exponents + [0] * (3 - len(exponents))
-            e_terms = len(expansion_coefficients(*padded))
-            total += 2 + 7 * e_terms
-    return total
-
-
 # -- serialization -----------------------------------------------------------
 
 

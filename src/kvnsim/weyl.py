@@ -1,10 +1,16 @@
 """Exact symbolic algebra of quadrature operators under [X_j, P_k] = i d_jk.
 
 Operators are stored in normal order: within each mode, every X factor
-stands to the left of every P factor. A term is a map from per-mode
-exponent pairs (a_X, a_P) to a Gaussian-rational coefficient, so all
-reordering moves produced by the canonical commutation relation stay
-exact. Products of operators on different modes always commute.
+stands to the left of every P factor. ``WeylPolynomial`` shares the sparse
+container of ``phasepoly.PhasePolynomial`` and adds the normal-ordered
+product. On m modes a term maps the flat multi-index
+
+    (a_X0, ..., a_X(m-1), a_P0, ..., a_P(m-1))
+
+(X exponents first, then P exponents, like positions then momenta in
+``phasepoly``) to a Gaussian-rational coefficient, so all reordering moves
+produced by the canonical commutation relation stay exact. Products of
+operators on different modes always commute.
 
 The module also proves, at the generator level, the controlled-shift
 conjugation identity used by the gate synthesizer:
@@ -22,9 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expansion import expansion_coefficients
-from .phasepoly import PhasePolynomial, poisson_bracket
-
-ModeExponents = tuple[tuple[int, int], ...]
+from .phasepoly import PhasePolynomial, SparsePolynomial, poisson_bracket
 
 
 @dataclass(frozen=True)
@@ -99,220 +103,105 @@ def _reorder_px(a: int, b: int) -> list[tuple[tuple[int, int], ComplexRational]]
     return out
 
 
-class WeylPolynomial:
-    """Normal-ordered polynomial in quadrature operators X_j, P_j.
+class WeylPolynomial(SparsePolynomial):
+    """Normal-ordered polynomial in quadrature operators X_j, P_j, built as
+    ``WeylPolynomial(num_modes, {multi_index: coeff})`` with flat
+    multi-indices of length 2 * num_modes.
 
     ``*`` is the (noncommutative) operator product with the result
     re-normal-ordered exactly; ``+`` and scalar multiples behave as usual.
     """
 
-    __slots__ = ("num_modes", "terms")
+    __slots__ = ()
 
-    def __init__(self, num_modes: int, terms=None):
-        if num_modes < 1:
-            raise ValueError(f"num_modes must be positive, got {num_modes}")
-        clean: dict[ModeExponents, ComplexRational] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                expo = tuple((int(ax), int(ap)) for ax, ap in expo)
-                if len(expo) != num_modes:
-                    raise ValueError(
-                        f"term spans {len(expo)} modes, expected {num_modes}"
-                    )
-                if any(ax < 0 or ap < 0 for ax, ap in expo):
-                    raise ValueError(f"negative exponent in term {expo}")
-                c = ComplexRational.coerce(coeff)
-                if c:
-                    acc = clean.get(expo)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[expo] = c
-                    else:
-                        clean.pop(expo, None)
-        object.__setattr__(self, "num_modes", num_modes)
-        object.__setattr__(self, "terms", clean)
+    _VARS_PER_MODE = 2
+    _MISMATCH = "mode-count mismatch: {} vs {}"
+    _SCALARS = (int, Fraction, ComplexRational)
+    _coerce = staticmethod(ComplexRational.coerce)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("WeylPolynomial is immutable")
+    @property
+    def num_modes(self) -> int:
+        return self.num_vars // 2
+
+    def _term_product(self, e1, e2, coeff):
+        # Only P_j^b X_j^a within each mode is out of order; modes commute.
+        m = self.num_modes
+        partial = [((), (), coeff)]
+        for j in range(m):
+            options = _reorder_px(e2[j], e1[m + j])
+            partial = [
+                (xs + (e1[j] + dx,), ps + (dp + e2[m + j],), c * factor)
+                for xs, ps, c in partial
+                for (dx, dp), factor in options
+            ]
+        for xs, ps, c in partial:
+            yield xs + ps, c
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_modes: int) -> "WeylPolynomial":
-        return cls(num_modes)
-
-    @classmethod
-    def scalar(cls, num_modes: int, value) -> "WeylPolynomial":
-        return cls(num_modes, {((0, 0),) * num_modes: ComplexRational.coerce(value)})
-
-    @classmethod
     def x(cls, num_modes: int, mode: int) -> "WeylPolynomial":
-        return cls._single(num_modes, mode, (1, 0))
+        return cls._quadrature(num_modes, mode, mode)
 
     @classmethod
     def p(cls, num_modes: int, mode: int) -> "WeylPolynomial":
-        return cls._single(num_modes, mode, (0, 1))
+        return cls._quadrature(num_modes, mode, num_modes + mode)
 
     @classmethod
-    def _single(cls, num_modes: int, mode: int, pair: tuple[int, int]) -> "WeylPolynomial":
+    def _quadrature(cls, num_modes: int, mode: int, index: int) -> "WeylPolynomial":
         if not 0 <= mode < num_modes:
             raise ValueError(f"mode {mode} out of range for {num_modes} modes")
-        expo = tuple(pair if j == mode else (0, 0) for j in range(num_modes))
+        expo = tuple(1 if i == index else 0 for i in range(2 * num_modes))
         return cls(num_modes, {expo: ONE})
 
     @classmethod
-    def from_position_polynomial(cls, poly: PhasePolynomial, num_modes: int | None = None) -> "WeylPolynomial":
+    def from_position_polynomial(cls, poly: PhasePolynomial) -> "WeylPolynomial":
         """Promote a commuting polynomial to operators, variable i -> X_i."""
-        m = poly.num_vars if num_modes is None else num_modes
-        if m < poly.num_vars:
-            raise ValueError("num_modes smaller than the polynomial's variable count")
-        terms = {}
-        for expo, coeff in poly.terms.items():
-            key = tuple((expo[i] if i < len(expo) else 0, 0) for i in range(m))
-            terms[key] = ComplexRational(coeff)
-        return cls(m, terms)
+        pad = (0,) * poly.num_vars
+        return cls(poly.num_vars, {e + pad: c for e, c in poly.terms.items()})
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(ax + ap for ax, ap in expo) for expo in self.terms)
-
     def max_single_mode_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(ax + ap for ax, ap in expo) for expo in self.terms)
-
-    def _check_compatible(self, other: "WeylPolynomial") -> None:
-        if self.num_modes != other.num_modes:
-            raise ValueError(
-                f"mode-count mismatch: {self.num_modes} vs {other.num_modes}"
-            )
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        if not isinstance(other, WeylPolynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo)
-            val = coeff if acc is None else acc + coeff
-            if val:
-                terms[expo] = val
-            else:
-                terms.pop(expo, None)
-        return WeylPolynomial(self.num_modes, terms)
-
-    def __neg__(self) -> "WeylPolynomial":
-        return WeylPolynomial(self.num_modes, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, WeylPolynomial):
-            return weyl_mul(self, other)
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            c = ComplexRational.coerce(other)
-            if not c:
-                return WeylPolynomial.zero(self.num_modes)
-            return WeylPolynomial(
-                self.num_modes, {e: c * v for e, v in self.terms.items()}
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "WeylPolynomial":
-        if exponent < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = WeylPolynomial.scalar(self.num_modes, 1)
-        for _ in range(exponent):
-            out = weyl_mul(out, self)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylPolynomial):
-            return NotImplemented
-        return self.num_modes == other.num_modes and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.num_modes, frozenset(self.terms.items())))
+        m = self.num_modes
+        return max(
+            (max(e[j] + e[m + j] for j in range(m)) for e in self.terms), default=0
+        )
 
     def adjoint(self) -> "WeylPolynomial":
         """Hermitian adjoint: conjugate coefficients, reverse operator order,
         then re-normal-order (X and P are self-adjoint)."""
-        out = WeylPolynomial.zero(self.num_modes)
+        m = self.num_modes
+        out = WeylPolynomial.zero(m)
         for expo, coeff in self.terms.items():
-            term = WeylPolynomial.scalar(self.num_modes, coeff.conjugate())
-            for mode, (ax, ap) in enumerate(expo):
-                if ap:
-                    term = weyl_mul(term, WeylPolynomial.p(self.num_modes, mode) ** ap)
-                if ax:
-                    term = weyl_mul(term, WeylPolynomial.x(self.num_modes, mode) ** ax)
+            term = WeylPolynomial.constant(m, coeff.conjugate())
+            for mode in range(m):
+                if expo[m + mode]:
+                    term = term * WeylPolynomial.p(m, mode) ** expo[m + mode]
+                if expo[mode]:
+                    term = term * WeylPolynomial.x(m, mode) ** expo[mode]
             out = out + term
         return out
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        m = self.num_modes
         pieces = []
-        for expo, coeff in sorted(
-            self.terms.items(), key=lambda kv: (sum(a + b for a, b in kv[0]), kv[0]), reverse=True
-        ):
+        for expo, coeff in self.sorted_terms():
             factors = []
-            for mode, (ax, ap) in enumerate(expo):
-                if ax:
-                    factors.append(f"X{mode}" + (f"^{ax}" if ax > 1 else ""))
-                if ap:
-                    factors.append(f"P{mode}" + (f"^{ap}" if ap > 1 else ""))
+            for mode in range(m):
+                for name, e in (("X", expo[mode]), ("P", expo[m + mode])):
+                    if e:
+                        factors.append(f"{name}{mode}" + (f"^{e}" if e > 1 else ""))
             body = " ".join(factors) if factors else "1"
             pieces.append(f"({coeff}) {body}")
         return " + ".join(pieces)
 
 
-def weyl_mul(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
-    """Normal-ordered operator product of two Weyl polynomials."""
-    a._check_compatible(b)
-    result: dict[ModeExponents, ComplexRational] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            partial: list[tuple[list[tuple[int, int]], ComplexRational]] = [([], c1 * c2)]
-            for (ax1, ap1), (ax2, ap2) in zip(e1, e2):
-                options = _reorder_px(ax2, ap1)
-                extended = []
-                for prefix, coeff in partial:
-                    for (xm, pm), factor in options:
-                        extended.append(
-                            (prefix + [(ax1 + xm, pm + ap2)], coeff * factor)
-                        )
-                partial = extended
-            for expo_list, coeff in partial:
-                if not coeff:
-                    continue
-                key = tuple(expo_list)
-                acc = result.get(key)
-                val = coeff if acc is None else acc + coeff
-                if val:
-                    result[key] = val
-                else:
-                    result.pop(key, None)
-    return WeylPolynomial(a.num_modes, result)
-
-
 def commutator(a: WeylPolynomial, b: WeylPolynomial) -> WeylPolynomial:
     """[a, b] = ab - ba, normal-ordered."""
-    return weyl_mul(a, b) - weyl_mul(b, a)
+    return a * b - b * a
 
 
 class NonTerminatingAdjointError(RuntimeError):

@@ -209,6 +209,7 @@ class TestExitCodes:
             ({"verify": 5}, "verify"),
             ({"verify": {"tv_threshold": "x"}}, "verify.tv_threshold"),
             ({"outputs": ["a"]}, "outputs"),
+            ({"grid": {"half_extent": 1e308}}, "grid.half_extent"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, overrides, field):

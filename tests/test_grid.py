@@ -9,6 +9,7 @@ from kvnsim.grid import (
     BlowUpError,
     CoverageError,
     GridSpec,
+    GridSpecError,
     GridState,
     apply_gate,
     apply_sequence,
@@ -68,6 +69,13 @@ class TestGridSpec:
     def test_memory_cap(self):
         with pytest.raises(ValueError, match="memory cap"):
             GridSpec(num_modes=4, points_per_mode=1024)
+
+    @pytest.mark.parametrize("half_extent", [1e308, 1e-310, 5e-324])
+    def test_overflowing_spacing_rejected(self, half_extent):
+        # 1e308 overflows dx, 1e-310 overflows dp, 5e-324 rounds dx to 0
+        with pytest.raises(GridSpecError, match="non-finite grid spacing") as err:
+            GridSpec(num_modes=1, points_per_mode=16, half_extent=half_extent)
+        assert err.value.param == "half_extent"
 
     def test_positions_centered(self):
         xs = SPEC1.positions()

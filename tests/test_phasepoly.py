@@ -244,13 +244,19 @@ class TestLiteralFormat:
     def test_decimal_coefficients_exact(self):
         assert parse_polynomial("0.1 * x1^4", 2).coefficient((4, 0)) == Fraction(1, 10)
 
-    def test_random_round_trips(self):
-        rng = random.Random(99)
-        for _ in range(30):
-            p = random_poly(rng, 4, 4)
-            text = format_polynomial(p)
-            assert parse_polynomial(text, 4) == p
-            assert format_polynomial(parse_polynomial(text, 4)) == text
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # up to 12 variables and exponents up to 12, so multi-digit names and
+        # powers such as x10^12 occur; integers up to 1e30 and fractions
+        num_vars = data.draw(st.integers(1, 12))
+        monomial = st.lists(
+            st.integers(0, 12), min_size=num_vars, max_size=num_vars
+        ).map(tuple)
+        coeff = st.integers(-(10**30), 10**30) | st.fractions(max_denominator=10**6)
+        p = PhasePolynomial(num_vars, data.draw(st.dictionaries(monomial, coeff, max_size=8)))
+        text = format_polynomial(p)
+        assert parse_polynomial(text, num_vars) == p
+        assert format_polynomial(parse_polynomial(text, num_vars)) == text
 
     def test_rejects_unknown_variable(self):
         with pytest.raises(ValueError, match="out of range"):

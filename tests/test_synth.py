@@ -17,7 +17,6 @@ from kvnsim.synth import (
     GateKind,
     GateSequence,
     cx_via_cz,
-    gate_count_bound,
     parse_gates,
     serialize_gates,
     synthesize_term,
@@ -227,19 +226,6 @@ class TestSynthesizeTerm:
         )
         term = next(t for t in build_kvn(h).terms if t.mode == 1 and t.factor.degree() == 1)
         assert len(synthesize_term(term, 0.3)) == 1
-
-    def test_gate_count_bound_holds(self):
-        cases = [
-            PhasePolynomial(2, {(0, 1): 1}),
-            PhasePolynomial(2, {(0, 2): 1}),
-            PhasePolynomial(2, {(0, 3): 1}),
-            PhasePolynomial(4, {(0, 0, 1, 1): 1}),
-            PhasePolynomial(4, {(0, 0, 2, 1): 1}),
-            PhasePolynomial(4, {(0, 1, 1, 1): 1}),
-        ]
-        for factor in cases:
-            term = KvNTerm(factor=factor, mode=0, sign=1)
-            assert len(synthesize_term(term, 0.37)) <= gate_count_bound(term)
 
 
 class TestCxViaCz:

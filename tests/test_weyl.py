@@ -14,7 +14,6 @@ from kvnsim.weyl import (
     commutator,
     verify_key_decomposition,
     verify_liouvillian_product_rule,
-    weyl_mul,
 )
 
 X = WeylPolynomial.x
@@ -24,11 +23,11 @@ P = WeylPolynomial.p
 def random_weyl(rng, num_modes, degree, num_terms=4):
     terms = {}
     for _ in range(num_terms):
-        expo = [[0, 0] for _ in range(num_modes)]
+        expo = [0] * (2 * num_modes)
         for _ in range(rng.randint(0, degree)):
-            expo[rng.randrange(num_modes)][rng.randrange(2)] += 1
-        key = tuple(tuple(pair) for pair in expo)
-        terms[key] = ComplexRational(
+            mode, quadrature = rng.randrange(num_modes), rng.randrange(2)
+            expo[quadrature * num_modes + mode] += 1
+        terms[tuple(expo)] = ComplexRational(
             Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
         )
     return WeylPolynomial(num_modes, terms)
@@ -51,12 +50,12 @@ class TestWeylMul:
     def test_single_exchange(self):
         # P1 X1 = X1 P1 - i
         result = P(2, 0) * X(2, 0)
-        expected = X(2, 0) * P(2, 0) - WeylPolynomial.scalar(2, I)
+        expected = X(2, 0) * P(2, 0) - WeylPolynomial.constant(2, I)
         assert result == expected
 
     def test_already_ordered(self):
         assert X(2, 0) * X(2, 1) == WeylPolynomial(
-            2, {((1, 0), (1, 0)): ComplexRational(Fraction(1))}
+            2, {(1, 1, 0, 0): ComplexRational(Fraction(1))}
         )
 
     def test_repeated_commutation(self):
@@ -68,7 +67,7 @@ class TestWeylMul:
 
     def test_mode_count_mismatch(self):
         with pytest.raises(ValueError, match="mode-count mismatch"):
-            weyl_mul(X(2, 0), X(3, 0))
+            X(2, 0) * X(3, 0)
 
     def test_associativity_random(self):
         rng = random.Random(17)
@@ -76,7 +75,7 @@ class TestWeylMul:
             a = random_weyl(rng, 2, 2)
             b = random_weyl(rng, 2, 2)
             c = random_weyl(rng, 2, 2)
-            assert weyl_mul(weyl_mul(a, b), c) == weyl_mul(a, weyl_mul(b, c))
+            assert (a * b) * c == a * (b * c)
 
     def test_disjoint_modes_agree_with_commuting_product(self):
         # operands on disjoint quadratures multiply like plain polynomials
@@ -88,9 +87,33 @@ class TestWeylMul:
         assert a * b == b * a
 
 
+class TestTypeBoundary:
+    # PhasePolynomial.zero(4) and WeylPolynomial.zero(2) share num_vars and
+    # (empty) terms; the shared container must still keep them apart.
+    PAIRS = [
+        (PhasePolynomial.zero(4), WeylPolynomial.zero(2)),
+        (PhasePolynomial.constant(4, 1), WeylPolynomial.constant(2, 1)),
+        (PhasePolynomial.variable(4, 0), X(2, 0)),
+    ]
+
+    @pytest.mark.parametrize("classical, operator", PAIRS)
+    def test_classical_and_operator_never_mix(self, classical, operator):
+        assert classical.num_vars == operator.num_vars
+        assert classical.terms == {e: c.re for e, c in operator.terms.items()}
+        for a, b in ((classical, operator), (operator, classical)):
+            assert a != b
+            assert not a == b
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+            with pytest.raises(TypeError):
+                a * b
+
+
 class TestCommutator:
     def test_canonical_pair(self):
-        assert commutator(X(1, 0), P(1, 0)) == WeylPolynomial.scalar(1, I)
+        assert commutator(X(1, 0), P(1, 0)) == WeylPolynomial.constant(1, I)
 
     def test_shift_generator_on_cube(self):
         # [i P1 X2, X1^a] = a X1^(a-1) X2 with a = 3
@@ -111,8 +134,8 @@ class TestCommutator:
             only_mode2 = WeylPolynomial(
                 3,
                 {
-                    ((0, 0), (0, 0), (1, 1)): ComplexRational(Fraction(2)),
-                    ((0, 0), (0, 0), (0, 2)): ComplexRational(Fraction(1), Fraction(1)),
+                    (0, 0, 1, 0, 0, 1): ComplexRational(Fraction(2)),
+                    (0, 0, 0, 0, 0, 2): ComplexRational(Fraction(1), Fraction(1)),
                 },
             )
             a_modes01 = WeylPolynomial(
@@ -120,7 +143,7 @@ class TestCommutator:
                 {
                     k: v
                     for k, v in a.terms.items()
-                    if k[2] == (0, 0)
+                    if k[2] == k[5] == 0
                 },
             )
             assert commutator(a_modes01, only_mode2).is_zero
@@ -198,7 +221,7 @@ class TestAdjoint:
     def test_xp_same_mode(self):
         # (X1 P1)^dag = P1 X1 = X1 P1 - i
         op = X(1, 0) * P(1, 0)
-        assert op.adjoint() == op - WeylPolynomial.scalar(1, I)
+        assert op.adjoint() == op - WeylPolynomial.constant(1, I)
 
     def test_involution(self):
         rng = random.Random(41)
