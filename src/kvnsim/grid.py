@@ -63,6 +63,8 @@ from .synth import Gate, GateKind, GateSequence
 
 MEMORY_CAP_BYTES = 2 * 1024 ** 3
 MAX_MODES = 4
+# Width, in cells, of the face layer whose mass ``boundary_mass`` reports.
+BOUNDARY_CELLS = 2
 
 
 class BlowUpError(RuntimeError):
@@ -76,10 +78,6 @@ class GridSpecError(ValueError):
     def __init__(self, param: str, message: str):
         super().__init__(message)
         self.param = param
-
-
-class CoverageError(GridSpecError):
-    """The grid cannot contain the requested state."""
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ class DensityGrid:
 
 def check_gaussian(spec: GridSpec, mean: np.ndarray, cov: np.ndarray) -> None:
     """Raise GridSpecError unless N(mean, cov) is a finite Gaussian over the
-    grid's axes, and CoverageError unless the grid holds its 2-sigma box."""
+    grid's axes whose 2-sigma box the grid holds."""
     d = spec.num_modes
     if mean.shape != (d,) or not np.all(np.isfinite(mean)):
         raise GridSpecError("mean", f"mean must be {d} finite numbers")
@@ -203,7 +201,7 @@ def check_gaussian(spec: GridSpec, mean: np.ndarray, cov: np.ndarray) -> None:
         raise GridSpecError("cov", "covariance must be positive definite")
     reach = np.abs(mean) + 2 * np.sqrt(np.diag(cov))
     if np.any(reach > spec.half_extent):
-        raise CoverageError(
+        raise GridSpecError(
             "half_extent",
             "grid does not contain the 2-sigma box of the requested Gaussian "
             f"(it reaches {float(reach.max())!r} > half_extent {spec.half_extent!r})",
@@ -418,7 +416,8 @@ def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridSta
             f"term over {term.num_modes} modes applied to a "
             f"{spec.num_modes}-mode state"
         )
-    g = term.sign * term.factor.evaluate_array(spec.mesh())
+    axes = [spec.axis_view(spec.positions(), i) for i in range(spec.num_modes)]
+    g = term.sign * term.factor.evaluate_array(axes)
     p = spec.axis_view(spec.momenta_fft_order(), term.mode)
     psi = _fft(state.psi.copy(), term.mode)
     psi *= np.exp(-1j * s * g * p)
@@ -466,10 +465,10 @@ def position_moments(density: DensityGrid) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def boundary_mass(state: GridState, cells: int = 2) -> float:
-    """Probability mass within ``cells`` cells of any grid face."""
+def boundary_mass(state: GridState) -> float:
+    """Probability mass within BOUNDARY_CELLS cells of any grid face."""
     rho = np.abs(state.psi) ** 2 * state.spec.cell_volume
-    interior = rho[tuple(slice(cells, -cells) for _ in range(state.spec.num_modes))]
+    interior = rho[(slice(BOUNDARY_CELLS, -BOUNDARY_CELLS),) * state.spec.num_modes]
     return float(np.sum(rho) - np.sum(interior))
 
 

@@ -29,10 +29,6 @@ class FlowMap:
     leapfrog alternates the exact kick (momentum update from grad V) and
     drift (position update from grad T) flows and is symplectic; rk4 is the
     generic fourth-order scheme on dx/dt = J grad H, kept as a cross-check.
-
-    The state is held as a C-contiguous (2n, M) array, one row per
-    variable, and handed to ``evaluate_array`` as its ``.T`` view, so every
-    coordinate the polynomials read is a contiguous row.
     """
 
     hamiltonian: ClassicalHamiltonian
@@ -40,7 +36,6 @@ class FlowMap:
     dt: float = 1e-3
     _grad_v: list[PhasePolynomial] = field(init=False, repr=False)
     _grad_t: list[PhasePolynomial] = field(init=False, repr=False)
-    _total: PhasePolynomial = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.integrator not in INTEGRATORS:
@@ -52,17 +47,16 @@ class FlowMap:
         h = self.hamiltonian
         self._grad_v = [h.V.partial_derivative(j) for j in range(h.n)]
         self._grad_t = [h.T.partial_derivative(h.n + j) for j in range(h.n)]
-        self._total = h.total()
 
     # -- single steps on a (2n, M) state -------------------------------------
 
     def _kick(self, x: np.ndarray, dt: float) -> None:
         n = self.hamiltonian.n
         for j, grad in enumerate(self._grad_v):
-            x[n + j] -= dt * grad.evaluate_array(x.T)
+            x[n + j] -= dt * grad.evaluate_array(x)
 
     def _drift(self, x: np.ndarray, dt: float) -> None:
-        drifts = [grad.evaluate_array(x.T) for grad in self._grad_t]
+        drifts = [grad.evaluate_array(x) for grad in self._grad_t]
         for j, d in enumerate(drifts):
             x[j] += dt * d
 
@@ -86,8 +80,8 @@ class FlowMap:
         n = self.hamiltonian.n
         out = np.empty_like(x)
         for j in range(n):
-            out[j] = self._grad_t[j].evaluate_array(x.T)
-            out[n + j] = -self._grad_v[j].evaluate_array(x.T)
+            out[j] = self._grad_t[j].evaluate_array(x)
+            out[n + j] = -self._grad_v[j].evaluate_array(x)
         return out
 
     def _rk4_step(self, x: np.ndarray, dt: float) -> None:
@@ -145,26 +139,6 @@ class FlowMap:
                 )
         return np.ascontiguousarray(x.T).reshape(points.shape)
 
-    def flow(self, x0, t: float) -> np.ndarray:
-        """Advance a single phase-space point by time t."""
-        return self.flow_array(np.asarray(x0, dtype=float), t)
-
-    def energy(self, points: np.ndarray) -> np.ndarray:
-        return self._total.evaluate_array(np.asarray(points, dtype=float))
-
-
-def energy_drift(map: FlowMap, x0, t: float, n_checks: int = 20) -> float:
-    """Largest relative energy error at n_checks evenly spaced checkpoints
-    from x0 to t, flowing from each checkpoint to the next."""
-    x = np.asarray(x0, dtype=float)
-    e0 = float(map.energy(x))
-    scale = max(abs(e0), 1e-30)
-    worst = 0.0
-    for _ in range(n_checks):
-        x = map.flow(x, t / n_checks)
-        worst = max(worst, abs(float(map.energy(x)) - e0) / scale)
-    return worst
-
 
 @dataclass
 class ClassicalEnsemble:
@@ -198,22 +172,11 @@ def ensemble_evolve(map: FlowMap, ensemble: ClassicalEnsemble, t: float) -> Clas
     return ClassicalEnsemble(map.flow_array(ensemble.samples, t))
 
 
-def liouville_density(
-    map: FlowMap, rho0: Callable[[np.ndarray], np.ndarray], t: float, x
-) -> float:
-    """Liouville solution by characteristics: rho(x, t) = rho0(flow(x, -t)).
-
-    Valid because the Hamiltonian flow preserves phase-space volume, so the
-    density is constant along trajectories.
-    """
-    origin = map.flow_array(np.asarray(x, dtype=float), -t)
-    return float(rho0(origin))
-
-
 def liouville_density_grid(
     map: FlowMap, rho0: Callable[[np.ndarray], np.ndarray], t: float, spec: GridSpec
 ) -> DensityGrid:
-    """Evaluate the characteristics solution at every grid cell center; the
+    """Liouville solution by characteristics, rho(x, t) = rho0(flow(x, -t)),
+    at every grid cell center (the flow preserves phase-space volume); the
     grid needs one axis per phase-space coordinate."""
     origins = map.flow_array(spec.mesh(), -t)
     values = np.asarray(rho0(origins), dtype=float)

@@ -230,61 +230,31 @@ class PhasePolynomial(SparsePolynomial):
 
     # -- evaluation --------------------------------------------------------
 
-    def _max_exponents(self) -> list[int]:
-        """Largest exponent of each variable over all terms."""
-        out = [0] * self.num_vars
-        for expo in self.terms:
-            for i, e in enumerate(expo):
-                if e > out[i]:
-                    out[i] = e
-        return out
+    def evaluate_array(self, coords: Sequence) -> np.ndarray:
+        """Evaluate at the points given variables first: ``coords`` holds
+        one array per variable, and the arrays broadcast together.
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Evaluate at a real point, with per-variable power caching."""
-        if len(point) != self.num_vars:
-            raise ValueError(
-                f"dimension mismatch: point has length {len(point)}, expected {self.num_vars}"
-            )
-        if not self.terms:
-            return 0.0
-        powers = []
-        for i, m in enumerate(self._max_exponents()):
-            row = [1.0] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = row[k - 1] * float(point[i])
-            powers.append(row)
-        total = 0.0
-        for expo, coeff in self.terms.items():
-            prod = float(coeff)
-            for i, e in enumerate(expo):
-                if e:
-                    prod *= powers[i][e]
-            total += prod
-        return total
-
-    def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of shape (..., num_vars).
-
-        Integer input is evaluated in floating point and complex input stays
-        complex. Powers come from a per-variable table built by repeated
-        multiplication, because NumPy sends ``x ** e`` with an integer
-        ``e >= 3`` through ``pow``, about a hundred times slower. Evaluation is
-        fastest when each ``points[..., i]`` is contiguous, e.g. the ``.T``
-        of a C-ordered ``(num_vars, M)`` array.
+        So ``coords`` can be one point, a ``(num_vars, M)`` array or a grid's
+        per-axis views; the result has the broadcast shape (0-d for one
+        point). Integer input is evaluated in floating point and complex
+        input stays complex. Powers come from a per-variable table built by
+        repeated multiplication, because NumPy sends ``x ** e`` with an
+        integer ``e >= 3`` through ``pow``, about a hundred times slower.
         """
-        points = np.asarray(points)
-        if points.shape[-1] != self.num_vars:
+        if len(coords) != self.num_vars:
             raise ValueError(
-                f"dimension mismatch: points have last axis {points.shape[-1]}, "
-                f"expected {self.num_vars}"
+                f"dimension mismatch: {len(coords)} coordinates, expected {self.num_vars}"
             )
-        dtype = np.result_type(points.dtype, float)
-        out = np.zeros(points.shape[:-1], dtype=dtype)
+        coords = [np.asarray(c) for c in coords]
+        dtype = np.result_type(*coords, float)
+        out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=dtype)
         powers = []
-        for i, m in enumerate(self._max_exponents()):
+        # zip(*terms) yields each variable's exponents (nothing when p == 0)
+        for x, exponents in zip(coords, zip(*self.terms)):
+            m = max(exponents)
             row = [None] * (m + 1)
             if m:
-                row[1] = points[..., i].astype(dtype, copy=False)
+                row[1] = x.astype(dtype, copy=False)
                 for k in range(2, m + 1):
                     row[k] = row[k - 1] * row[1]
             powers.append(row)
@@ -296,7 +266,7 @@ class PhasePolynomial(SparsePolynomial):
                 if term is None:
                     term = powers[i][e] * float(coeff)
                 else:
-                    term *= powers[i][e]
+                    term = term * powers[i][e]  # may broadcast to a larger shape
             out += float(coeff) if term is None else term
         return out
 

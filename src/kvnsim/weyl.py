@@ -49,16 +49,26 @@ class ComplexRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def __add__(self, other: "ComplexRational") -> "ComplexRational":
+    def __add__(self, other) -> "ComplexRational":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
+        other = ComplexRational.coerce(other)
         return ComplexRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ComplexRational":
+        return self + -other
+
+    def __rsub__(self, other) -> "ComplexRational":
+        return -self + other
 
     def __neg__(self) -> "ComplexRational":
         return ComplexRational(-self.re, -self.im)
 
     def __mul__(self, other) -> "ComplexRational":
+        if not isinstance(other, _EXACT):
+            return NotImplemented
         other = ComplexRational.coerce(other)
         return ComplexRational(
             self.re * other.re - self.im * other.im,
@@ -82,6 +92,10 @@ class ComplexRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re} {sign} {abs(self.im)}i"
 
+
+# The scalars a ComplexRational combines with; anything else gets
+# NotImplemented, so the other operand (e.g. a WeylPolynomial) can answer.
+_EXACT = (ComplexRational, int, Fraction)
 
 ONE = ComplexRational(Fraction(1))
 I = ComplexRational(Fraction(0), Fraction(1))
@@ -116,7 +130,7 @@ class WeylPolynomial(SparsePolynomial):
 
     _VARS_PER_MODE = 2
     _MISMATCH = "mode-count mismatch: {} vs {}"
-    _SCALARS = (int, Fraction, ComplexRational)
+    _SCALARS = _EXACT
     _coerce = staticmethod(ComplexRational.coerce)
 
     @property
@@ -295,17 +309,14 @@ def verify_key_decomposition(a2: int, a3: int, a4: int) -> DecompositionProof:
     generator, so the unitary identity reduces to a polynomial operator
     identity decidable in rational arithmetic.
     """
+    terms = expansion_coefficients(a2, a3, a4)
     a = 1 + a2 + a3 + a4
-    if not 2 <= a <= 4:
-        raise ValueError(f"generator degree {a} outside the supported range 2..4")
-    if min(a2, a3, a4) < 0:
-        raise ValueError("exponents must be nonnegative")
     m = 4
     proof = DecompositionProof(exponents=(a2, a3, a4))
     x = [WeylPolynomial.x(m, j) for j in range(m)]
     p0 = WeylPolynomial.p(m, 0)
     total = WeylPolynomial.zero(m)
-    for term in expansion_coefficients(a2, a3, a4):
+    for term in terms:
         h = term.weights
         weighted = WeylPolynomial.zero(m)
         for i, hi in enumerate(h):

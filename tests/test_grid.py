@@ -7,7 +7,6 @@ import pytest
 from kvnsim.config import load_config
 from kvnsim.grid import (
     BlowUpError,
-    CoverageError,
     GridSpec,
     GridSpecError,
     GridState,
@@ -106,8 +105,9 @@ class TestPrepareGaussian:
         assert np.allclose(sampled_cov, cov, atol=1e-6)
 
     def test_coverage_error(self):
-        with pytest.raises(CoverageError):
+        with pytest.raises(GridSpecError, match="2-sigma box") as info:
             prepare_gaussian(SPEC1, [7.5], np.array([[1.0]]))
+        assert info.value.param == "half_extent"
 
     def test_coverage_warning_between_two_and_five_sigma(self):
         with pytest.warns(UserWarning, match="5 sigma"):

@@ -115,17 +115,25 @@ class TestPartialDerivative:
                     assert ij.terms == ji.terms
 
 
+def exact_value(p, point):
+    """p at a point, in Fraction arithmetic on the exact value of each
+    (integer or float) coordinate."""
+    xs = [Fraction(v) for v in point]
+    return sum(c * math.prod(x ** e for x, e in zip(xs, expo)) for expo, c in p.terms.items())
+
+
 class TestEvaluate:
     def test_product_point(self):
-        assert (var(2, 0) * var(2, 1)).evaluate([3.0, 4.0]) == pytest.approx(12.0)
+        assert float((var(2, 0) * var(2, 1)).evaluate_array([3.0, 4.0])) == pytest.approx(12.0)
 
     def test_origin(self):
         p = var(2, 0) ** 2 + var(2, 1) ** 2
-        assert p.evaluate([0.0, 0.0]) == 0.0
+        out = p.evaluate_array([0.0, 0.0])
+        assert out.shape == () and out == 0.0
 
     def test_against_direct_term_summation(self):
         p = var(1, 0) + var(1, 0) ** 3
-        assert p.evaluate([2.0]) == pytest.approx(10.0, rel=1e-12)
+        assert float(p.evaluate_array([2.0])) == pytest.approx(10.0, rel=1e-12)
         rng = random.Random(5)
         for _ in range(50):
             q = random_poly(rng, 3, 4)
@@ -134,11 +142,11 @@ class TestEvaluate:
                 float(c) * math.prod(point[i] ** e for i, e in enumerate(expo))
                 for expo, c in q.terms.items()
             )
-            assert q.evaluate(point) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert float(q.evaluate_array(point)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            var(2, 0).evaluate([1.0])
+            var(2, 0).evaluate_array([1.0])
 
     @pytest.mark.parametrize(
         "pts",
@@ -153,7 +161,7 @@ class TestEvaluate:
         # integer input must not truncate; complex input must stay complex
         rng = random.Random(11)
         p = random_poly(rng, 2, 3)
-        out = p.evaluate_array(pts)
+        out = p.evaluate_array(pts.T)
         assert out.dtype == np.result_type(pts.dtype, float)
         for row, val in zip(pts, out):
             if np.iscomplexobj(row):
@@ -162,7 +170,7 @@ class TestEvaluate:
                     for expo, c in p.terms.items()
                 )
             else:
-                expected = p.evaluate(row)
+                expected = float(exact_value(p, row))
             assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @given(st.data())
@@ -179,14 +187,28 @@ class TestEvaluate:
             st.lists(st.lists(coord, min_size=num_vars, max_size=num_vars), min_size=1, max_size=6)
         )
         pts = np.array(rows, dtype=float)
-        out = p.evaluate_array(pts)
+        out = p.evaluate_array(pts.T)
         assert out.shape == (len(rows),)
         for row, val in zip(rows, out):
             scale = sum(
                 abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(row, expo))
                 for expo, c in p.terms.items()
             )
-            assert abs(val - p.evaluate(row)) <= 1e-12 * scale
+            # plus an underflow floor: powers below the normal range lose
+            # their relative precision
+            error = abs(Fraction(float(val)) - exact_value(p, row))
+            assert error <= 1e-12 * scale + np.finfo(float).tiny
+
+    def test_axis_views_match_mesh_bitwise(self):
+        # a grid's broadcast per-axis views and its materialised mesh give
+        # the same values, in the broadcast shape
+        p = parse_polynomial("1/3 * x1^3 * x2 - 2 * x2^2 * x3 + 5/7 * x3^4 + 1/2", 3)
+        xs = np.linspace(-2.0, 2.0, 5)
+        views = [xs.reshape(5, 1, 1), xs.reshape(1, 5, 1), xs.reshape(1, 1, 5)]
+        mesh = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
+        out = p.evaluate_array(views)
+        assert out.shape == (5, 5, 5)
+        assert np.array_equal(out, p.evaluate_array(np.moveaxis(mesh, -1, 0)))
 
 
 def test_mul_evaluate_consistency_random():
@@ -199,8 +221,8 @@ def test_mul_evaluate_consistency_random():
         prod = p * q
         for _ in range(12):
             x = [rng.uniform(-1.5, 1.5) for _ in range(nv)]
-            lhs = prod.evaluate(x)
-            rhs = p.evaluate(x) * q.evaluate(x)
+            lhs = float(prod.evaluate_array(x))
+            rhs = float(p.evaluate_array(x)) * float(q.evaluate_array(x))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 

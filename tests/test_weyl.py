@@ -6,6 +6,7 @@ import pytest
 from kvnsim.expansion import admissible_exponent_triples
 from kvnsim.phasepoly import PhasePolynomial, poisson_bracket
 from kvnsim.weyl import (
+    ONE,
     ComplexRational,
     I,
     NonTerminatingAdjointError,
@@ -44,6 +45,21 @@ class TestComplexRational:
     def test_exact_division(self):
         z = ComplexRational(Fraction(1), Fraction(1)) / 3
         assert z == ComplexRational(Fraction(1, 3), Fraction(1, 3))
+
+    def test_scalar_coercion_on_either_side(self):
+        # int and Fraction combine from the left and the right; a polynomial
+        # on the right takes over the product; other types stay rejected
+        assert ONE + 1 == 1 + ONE == ComplexRational(Fraction(2))
+        assert ONE - Fraction(1, 2) == ComplexRational(Fraction(1, 2))
+        assert 2 - I == ComplexRational(Fraction(2), Fraction(-1))
+        assert Fraction(1, 3) * I == I * Fraction(1, 3) == ComplexRational(im=Fraction(1, 3))
+        assert I * X(1, 0) == X(1, 0) * I
+        with pytest.raises(TypeError):
+            ComplexRational.coerce(0.5)
+        with pytest.raises(TypeError):
+            ONE * 0.5
+        with pytest.raises(TypeError):
+            ONE + 0.5
 
 
 class TestWeylMul:
