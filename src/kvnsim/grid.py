@@ -38,11 +38,16 @@ single gate):
    repetitive product-formula circuit builds only a handful of tables;
 3. the executor tracks the basis of every axis and transforms an axis
    only when the next op needs the other basis, so consecutive ops in the
-   momentum of one axis share one FFT pair; every axis ends in position.
+   momentum of one axis share one FFT pair; every axis ends in position;
+4. the tables of consecutive ops between two basis changes multiply the
+   state once, by their product, which is built once per call and reused
+   every time the plan repeats that run (every Trotter step). A run also
+   ends before its product would span every axis, so a cached product is
+   at most 1/N of the state.
 
-Fusion and basis tracking change results by roundoff only (about 1e-13
-relative against gate-by-gate execution) and never change the synthesized
-circuit itself. A state that is not finite after a plan raises
+Fusion, basis tracking and run products change results by roundoff only
+(about 1e-13 relative against gate-by-gate execution) and never change
+the synthesized circuit itself. A state that is not finite after a plan raises
 BlowUpError.
 
 The grid is an emulation device: extent and resolution are engineering
@@ -51,6 +56,7 @@ choices, not part of the compiled circuits.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -234,8 +240,10 @@ def prepare_gaussian(
         di = spec.axis_view(xs - mean[i], i)
         for j in range(d):
             dj = spec.axis_view(xs - mean[j], j)
-            quad = quad + prec[i, j] * di * dj
-    psi = np.exp(-0.25 * quad).astype(np.complex128)
+            quad += prec[i, j] * di * dj
+    quad *= -0.25
+    np.exp(quad, out=quad)
+    psi = quad.astype(np.complex128)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume)
     return GridState(spec, psi)
 
@@ -352,27 +360,59 @@ def _lower(spec: GridSpec, gate: Gate) -> list[_Op]:
     raise ValueError(f"unknown gate kind {kind}")  # pragma: no cover - enum is exhaustive
 
 
+def _multiply_run(
+    psi: np.ndarray, run: list[np.ndarray], products: dict[tuple[int, ...], np.ndarray]
+) -> None:
+    """Multiply psi in place by a same-basis run of tables and empty the run.
+
+    The run multiplies once, by the product of its tables (the table
+    itself for a run of one), cached in ``products`` under the tables' ids;
+    the plan keeps every table alive for its call, so the ids are stable.
+    """
+    if run:
+        key = tuple(map(id, run))
+        product = products.get(key)
+        if product is None:
+            product = products[key] = functools.reduce(np.multiply, run)
+        psi *= product
+        run.clear()
+
+
 def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
     """Execute a gate list as one compiled plan on a copy of the state.
 
     The gates are fused, each distinct fused gate is lowered once (the
     tables live only for this call), and every axis changes basis only
-    when the next op needs the other one; all axes end in position.
+    when the next op needs the other one; all axes end in position. The
+    tables of consecutive ops between two basis changes form a run that
+    multiplies the state once.
     """
     spec = state.spec
     psi = state.psi.copy()
     tables: dict[Gate, list[_Op]] = {}
+    products: dict[tuple[int, ...], np.ndarray] = {}
+    run: list[np.ndarray] = []
+    run_axes: set[int] = set()
     in_momentum = [False] * spec.num_modes
     for gate in fuse_gates(gates):
         ops = tables.get(gate)
         if ops is None:
             ops = tables[gate] = _lower(spec, gate)
         for needs, table in ops:
-            for axis, momentum in needs:
-                if in_momentum[axis] != momentum:
-                    psi = _fft(psi, axis) if momentum else _ifft(psi, axis)
-                    in_momentum[axis] = momentum
-            psi *= table
+            axes = {axis for axis, _ in needs}
+            switches = [(axis, momentum) for axis, momentum in needs
+                        if in_momentum[axis] != momentum]
+            # A run ends at a basis change, and before its product would
+            # span every axis: a product never takes the size of the state.
+            if switches or len(run_axes | axes) == spec.num_modes:
+                _multiply_run(psi, run, products)
+                run_axes = set()
+            for axis, momentum in switches:
+                psi = _fft(psi, axis) if momentum else _ifft(psi, axis)
+                in_momentum[axis] = momentum
+            run.append(table)
+            run_axes |= axes
+    _multiply_run(psi, run, products)
     for axis, momentum in enumerate(in_momentum):
         if momentum:
             psi = _ifft(psi, axis)
@@ -417,10 +457,14 @@ def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridSta
             f"{spec.num_modes}-mode state"
         )
     axes = [spec.axis_view(spec.positions(), i) for i in range(spec.num_modes)]
-    g = term.sign * term.factor.evaluate_array(axes)
     p = spec.axis_view(spec.momenta_fft_order(), term.mode)
+    # One full-size complex array, built and exponentiated in place before
+    # the state is copied; the factor's real temporaries are gone by then.
+    phase = -1j * s * (term.sign * term.factor.evaluate_array(axes))
+    phase *= p
+    np.exp(phase, out=phase)
     psi = _fft(state.psi.copy(), term.mode)
-    psi *= np.exp(-1j * s * g * p)
+    psi *= phase
     psi = _ifft(psi, term.mode)
     return GridState(spec, psi)
 
@@ -495,16 +539,24 @@ def measure_positions(state: GridState, num_samples: int, seed: int) -> np.ndarr
 
 
 def density_to_csv(density: DensityGrid) -> str:
-    """One row per grid cell: coordinates then the density value."""
+    """One row per grid cell, in C order: coordinates then the density value.
+
+    The coordinate text is formatted once per axis value and the prefixes
+    of the first d-1 axes once each; only the density values get a repr
+    per cell, and the output is built one last-axis row at a time.
+    """
     spec = density.spec
     d = spec.num_modes
-    header = ",".join(f"x{i + 1}" for i in range(d)) + ",density"
-    xs = spec.positions()
-    lines = [header]
-    for idx in np.ndindex(spec.shape):
-        coords = ",".join(repr(float(xs[k])) for k in idx)
-        lines.append(f"{coords},{float(density.values[idx])!r}")
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"x{i + 1}" for i in range(d)) + ",density\n"
+    cells = [repr(x) + "," for x in spec.positions().tolist()]
+    prefixes = [""]
+    for _ in range(d - 1):
+        prefixes = [prefix + cell for prefix in prefixes for cell in cells]
+    rows = density.values.reshape(len(prefixes), spec.points_per_mode)
+    chunks = [header]
+    for prefix, row in zip(prefixes, rows):
+        chunks.append("".join([f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, row.tolist())]))
+    return "".join(chunks)
 
 
 def moments_to_csv(
@@ -527,6 +579,6 @@ def samples_to_csv(samples: np.ndarray) -> str:
     d = samples.shape[1]
     header = ",".join(f"x{i + 1}" for i in range(d))
     lines = [header]
-    for row in samples:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in samples.tolist():
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"

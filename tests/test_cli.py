@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, config_from_dict, load_config
-from kvnsim.grid import GridSpec, born_density, prepare_gaussian
+from kvnsim.grid import GridSpec, apply_sequence, born_density, prepare_gaussian
+from kvnsim.synth import trotter_circuit
 
 QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
 
@@ -270,6 +272,36 @@ class TestEvolve:
         lines = (out / "density.csv").read_text().splitlines()[1:]
         values = np.array([float(l.rsplit(",", 1)[1]) for l in lines])
         assert np.max(np.abs(values - expected.ravel())) <= 1e-12
+
+    def test_four_mode_density_csv_matches_in_process_run(self, tmp_path):
+        # the benchmark's coupled 4-mode run at 16 points per mode
+        cfg = write_config(
+            tmp_path / "c.json",
+            hamiltonian={
+                "n": 2,
+                "H": "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 "
+                     "+ 1/20 * x1^2 * x2^2",
+            },
+            initial_density={
+                "mean": [1.0, 0.5, 0.0, 0.0],
+                "covariance": (0.5 * np.eye(4)).tolist(),
+            },
+            grid={"points_per_mode": 16, "half_extent": 8.0},
+            evolution={"t": 1.0, "n_steps": 4, "order": 2},
+        )
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "density.csv").read_text().splitlines()
+        assert lines[0] == "x1,x2,x3,x4,density"
+        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert table.shape == (16 ** 4, 5)
+        config = load_config(cfg)
+        xs = config.spec.positions().tolist()
+        assert np.array_equal(table[:, :4], np.array(list(itertools.product(xs, repeat=4))))
+        circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
+        state = prepare_gaussian(config.spec, config.mean, config.covariance)
+        expected = born_density(apply_sequence(state, circuit)).values
+        assert np.array_equal(table[:, 4], expected.ravel())
 
     def test_gaussian_backend_exact_moments(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", backend="gaussian")

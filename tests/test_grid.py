@@ -1,12 +1,18 @@
+import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from kvnsim import grid
 from kvnsim.config import load_config
 from kvnsim.grid import (
     BlowUpError,
+    DensityGrid,
     GridSpec,
     GridSpecError,
     GridState,
@@ -22,6 +28,7 @@ from kvnsim.grid import (
     position_expectation,
     position_moments,
     prepare_gaussian,
+    samples_to_csv,
 )
 from kvnsim.kvn import KvNTerm, build_kvn, validate_separation
 from kvnsim.phasepoly import PhasePolynomial, parse_polynomial
@@ -47,6 +54,24 @@ def l2_distance(a: GridState, b: GridState) -> float:
     return float(
         np.sqrt(np.sum(np.abs(a.psi - b.psi) ** 2) * a.spec.cell_volume)
     )
+
+
+def plain_density_to_csv(density: DensityGrid) -> str:
+    """Reference writer: one repr per coordinate and value of every cell."""
+    spec = density.spec
+    d = spec.num_modes
+    header = ",".join(f"x{i + 1}" for i in range(d)) + ",density"
+    xs = spec.positions()
+    lines = [header]
+    for idx in np.ndindex(spec.shape):
+        coords = ",".join(repr(float(xs[k])) for k in idx)
+        lines.append(f"{coords},{float(density.values[idx])!r}")
+    return "\n".join(lines) + "\n"
+
+
+# Zero, the smallest subnormal, a huge value and two values whose repr needs
+# 17 significant digits.
+EDGE_VALUES = (0.0, 5e-324, 1e300, 0.1 + 0.2, 2.2250738585072014e-308)
 
 
 class TestGridSpec:
@@ -458,6 +483,46 @@ class TestCsvExports:
         assert len(lines) == 17
         assert text == density_to_csv(born_density(state))
 
+    @staticmethod
+    def check_density_csv(density):
+        text, expected = density_to_csv(density), plain_density_to_csv(density)
+        if text != expected:  # report the first difference, not a diff of megabytes
+            k = len(os.path.commonprefix([text, expected]))
+            near = slice(max(k - 30, 0), k + 30)
+            pytest.fail(f"at byte {k}: {text[near]!r} != {expected[near]!r}")
+        values = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+        assert values == density.values.ravel().tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        num_modes=st.integers(1, 3),
+        half_extent=st.sampled_from([4.0, 8.0, 16.0 / 3.0]),
+    )
+    def test_density_csv_matches_per_cell_writer(self, data, num_modes, half_extent):
+        spec = GridSpec(num_modes=num_modes, points_per_mode=16, half_extent=half_extent)
+        elements = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1e300)
+        values = data.draw(arrays(np.float64, spec.shape, elements=elements))
+        self.check_density_csv(DensityGrid(spec, values))
+
+    def test_density_csv_matches_per_cell_writer_four_modes(self):
+        spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
+        values = np.random.default_rng(5).random(spec.shape) ** 9
+        values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+        values[-1, -1, -1, -len(EDGE_VALUES):] = EDGE_VALUES
+        self.check_density_csv(DensityGrid(spec, values))
+
+    def test_samples_csv_matches_per_value_formula(self):
+        rng = np.random.default_rng(3)
+        samples = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+        samples[0] = EDGE_VALUES[:3]
+        samples[1] = [-0.0, *EDGE_VALUES[3:]]
+        state = prepare_gaussian(SPEC2, [0.3, -0.1], 0.5 * np.eye(2))
+        for case in (samples, measure_positions(state, 50, seed=2)):
+            header = ",".join(f"x{i + 1}" for i in range(case.shape[1]))
+            rows = [",".join(repr(float(v)) for v in row) for row in case]
+            assert samples_to_csv(case) == "\n".join([header, *rows]) + "\n"
+
 
 class TestCompiledPlan:
     """apply_sequence fuses neighbours, caches tables and tracks the basis
@@ -489,6 +554,48 @@ class TestCompiledPlan:
         planned = apply_sequence(state, circuit)
         reference = self.gate_by_gate(state, circuit)
         assert l2_distance(planned, reference) <= 1e-12 * reference.norm()
+
+    def test_same_basis_runs_match_gate_by_gate(self, monkeypatch):
+        # position-diagonal CZ/Q/D/P ops on modes 0 and 1, then CX ops on the
+        # momentum of mode 2 interleaved with position ops on mode 0; CX(1, 2)
+        # would make its run's product span all three axes and starts a new run
+        q, d, p = GateKind.QUARTIC_PHASE, GateKind.MOMENTUM_DISPLACEMENT, GateKind.QUADRATIC_PHASE
+        cx, cz = GateKind.CONTROLLED_X, GateKind.CONTROLLED_Z
+        block = [
+            Gate(cz, (0, 1), 0.3), Gate(q, (0,), 0.02), Gate(d, (1,), 0.4),
+            Gate(p, (0,), -0.25), Gate(cz, (1, 0), -0.15),
+            Gate(cx, (0, 2), 0.2), Gate(q, (0,), -0.03), Gate(cx, (0, 2), -0.35),
+            Gate(d, (0,), 0.1), Gate(cx, (1, 2), 0.25), Gate(cx, (0, 2), 0.15),
+            Gate(GateKind.FOURIER, (1,)), Gate(q, (1,), 0.01),
+            Gate(GateKind.FOURIER_INVERSE, (1,)), Gate(cz, (1, 2), 0.2),
+        ]
+        seq = GateSequence(3, tuple(block * 3))
+        spec = GridSpec(num_modes=3, points_per_mode=32, half_extent=8.0)
+        state = prepare_gaussian(spec, [0.5, -0.3, 0.2], 0.5 * np.eye(3))
+        runs = []
+        multiply_run = grid._multiply_run
+
+        def record(psi, run, products):
+            runs.append([table.shape for table in run])
+            multiply_run(psi, run, products)
+
+        monkeypatch.setattr(grid, "_multiply_run", record)
+        planned = apply_sequence(state, seq)
+        monkeypatch.undo()
+        merged = [np.broadcast_shapes(*shapes) for shapes in runs if len(shapes) > 1]
+        assert max(map(len, runs)) >= 4
+        assert len(merged) >= 6
+        assert all(np.prod(shape) < state.psi.size for shape in merged)
+        # the one-gate plans of gate_by_gate share the executor; the plain
+        # reference below shares only the gates' tables
+        psi = state.psi.copy()
+        for gate in seq:
+            for needs, table in grid._lower(spec, gate):
+                axes = [axis for axis, momentum in needs if momentum]
+                psi = np.fft.ifftn(np.fft.fftn(psi, axes=axes, norm="ortho") * table,
+                                   axes=axes, norm="ortho")
+        for reference in (self.gate_by_gate(state, seq), GridState(spec, psi)):
+            assert l2_distance(planned, reference) <= 1e-12 * reference.norm()
 
     def test_quartic_config_fused_gate_count(self):
         config = load_config(QUARTIC_CONFIG)
