@@ -149,14 +149,21 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
     return EvolutionResult(density, mean, cov, metrics, samples)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Path.write_text in 1 MB slices: it never holds an encoded copy of the
+    whole text (42 MB for a 32^4 density)."""
+    with path.open("w") as handle:
+        for start in range(0, len(text), 2 ** 20):
+            handle.write(text[start:start + 2 ** 20])
+
+
 def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "density.csv").write_text(density_to_csv(result.density))
-    (out_dir / "moments.csv").write_text(
-        moments_to_csv(result.mean, result.cov, result.metrics)
-    )
+    _write_text(out_dir / "density.csv", density_to_csv(result.density))
+    _write_text(out_dir / "moments.csv",
+                moments_to_csv(result.mean, result.cov, result.metrics))
     if result.samples is not None:
-        (out_dir / "samples.csv").write_text(samples_to_csv(result.samples))
+        _write_text(out_dir / "samples.csv", samples_to_csv(result.samples))
 
 
 def _evolve(args) -> tuple[ExperimentConfig, EvolutionResult]:
@@ -187,7 +194,7 @@ def cmd_verify(args) -> int:
     flow = FlowMap(config.hamiltonian)
     rho0 = gaussian_density(config.mean, config.covariance)
     reference = liouville_density_grid(flow, rho0, config.t, result.density.spec)
-    (config.outputs / "reference_density.csv").write_text(density_to_csv(reference))
+    _write_text(config.outputs / "reference_density.csv", density_to_csv(reference))
     comparison = compare_densities(result.density, reference)
     moment_err = float(np.linalg.norm(comparison.first_moment_error))
     print(f"total variation: {comparison.total_variation:.6f} "

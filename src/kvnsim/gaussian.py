@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .kvn import KvNHamiltonian
 
@@ -103,6 +102,10 @@ def _heisenberg_generator(h: KvNHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve_gaussian(state: GaussianState, h: KvNHamiltonian, t: float) -> GaussianState:
     """Transport mean and covariance by the exact linear flow for time t."""
+    # Imported here, its only use: scipy.linalg adds about 6 MB and 0.05 s
+    # to every process that imports this module.
+    from scipy.linalg import expm
+
     if h.num_modes != state.num_modes:
         raise ValueError(
             f"generator over {h.num_modes} modes applied to a "

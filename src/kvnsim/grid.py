@@ -43,12 +43,29 @@ single gate):
    state once, by their product, which is built once per call and reused
    every time the plan repeats that run (every Trotter step). A run also
    ends before its product would span every axis, so a cached product is
-   at most 1/N of the state.
+   at most 1/N of the state;
+5. a single-axis block -- a maximal stretch of ops in which only one axis
+   k changes basis, every other axis it touches keeps one basis, and at
+   least one axis stays untouched -- acts on k as one N x N matrix per
+   fiber of its other touched axes, the same for every index of the
+   untouched ones. A block composes when (a) its ops and entry basis
+   recur in the plan, (b) it holds more than N/8 transforms, which cost
+   well over one batched matmul, and (c) the state and the distinct
+   blocks' matrices fit under MEMORY_CAP_BYTES. Its matrices are
+   built once per call, in place, by running the block's ops and FFTs on
+   the identity; every occurrence is then one matmul, a chunk of fibers
+   at a time, after the one switch each fixed axis needs. On the 4-mode
+   coupled-quartic plan (20 steps) 60 matmuls replace 1,480 of the 1,604
+   transforms on the state, and 3 builds take 74 transforms; the state
+   moves by about 1e-14 relative. The 2-axis product formulas repeat only
+   blocks of at most 3 transforms, below the bar for N >= 32, so their
+   plans run as before, bit for bit.
 
-Fusion, basis tracking and run products change results by roundoff only
-(about 1e-13 relative against gate-by-gate execution) and never change
-the synthesized circuit itself. A state that is not finite after a plan raises
-BlowUpError.
+Fusion, basis tracking, run products and composed blocks change results
+by roundoff only (about 1e-13 relative against gate-by-gate execution) and
+never change the synthesized circuit itself. The caller's state is never
+written: the first FFT, multiply or block of a plan writes a new array. A
+state that is not finite after a plan raises BlowUpError.
 
 The grid is an emulation device: extent and resolution are engineering
 choices, not part of the compiled circuits.
@@ -58,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -278,12 +296,12 @@ class _Op(NamedTuple):
     table: np.ndarray
 
 
-def _fft(psi: np.ndarray, axis: int) -> np.ndarray:
-    return sfft.fft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
+def _fft(psi: np.ndarray, axis: int, overwrite_x: bool = True) -> np.ndarray:
+    return sfft.fft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=overwrite_x)
 
 
-def _ifft(psi: np.ndarray, axis: int) -> np.ndarray:
-    return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
+def _ifft(psi: np.ndarray, axis: int, overwrite_x: bool = True) -> np.ndarray:
+    return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=overwrite_x)
 
 
 def fuse_gates(gates: Iterable[Gate]) -> list[Gate]:
@@ -378,40 +396,223 @@ def _multiply_run(
         run.clear()
 
 
+def _lower_plan(spec: GridSpec, gates: Iterable[Gate]) -> list[_Op]:
+    """Fuse the gates and lower each distinct fused gate once; the op list
+    holds every table, so their ids stay stable while it lives."""
+    tables: dict[Gate, list[_Op]] = {}
+    ops: list[_Op] = []
+    for gate in fuse_gates(gates):
+        lowered = tables.get(gate)
+        if lowered is None:
+            lowered = tables[gate] = _lower(spec, gate)
+        ops.extend(lowered)
+    return ops
+
+
+class _Block(NamedTuple):
+    """Plan ops ``start:stop`` in which only ``axis`` changes basis: it
+    enters in ``entry`` and leaves in ``exit`` after ``transforms`` FFTs.
+    Every other axis the ops touch keeps the basis given in ``fixed``
+    (ascending axes), and at least one axis is untouched. Blocks with the
+    same ``key`` have the same operator."""
+
+    start: int
+    stop: int
+    axis: int
+    entry: bool
+    exit: bool
+    transforms: int
+    fixed: tuple[tuple[int, bool], ...]
+    key: tuple
+
+
+def _blocks(num_modes: int, ops: Sequence[_Op]) -> list[_Block]:
+    """The plan's maximal single-axis blocks that transform their axis.
+
+    A block ends before an op that would move a second axis, or an axis it
+    holds fixed, to the other basis, and before it would touch every axis.
+    The first op of a block that touches a fixed axis may need it in the
+    other basis: that switch is done once, before the block, which is exact
+    because no earlier op of the block touches the axis.
+    """
+    bounds: list[tuple[int, int, int | None, dict[int, bool]]] = []
+    start, axis, held = 0, None, {}
+    for i, (needs, _) in enumerate(ops):
+        moving = [a for a, momentum in needs if a != axis and held.get(a, momentum) != momentum]
+        touched = held.keys() | {a for a, _ in needs} | {axis} - {None}
+        if len(moving) > (axis is None) or (i > start and len(touched) == num_modes):
+            bounds.append((start, i, axis, held))
+            start, axis, held = i, None, {}
+        elif moving:
+            axis = moving[0]
+            del held[axis]
+        for a, momentum in needs:
+            if a != axis:
+                held.setdefault(a, momentum)
+    bounds.append((start, len(ops), axis, held))
+    # replay the basis of every axis to count each block's transforms
+    blocks: list[_Block] = []
+    in_momentum = [False] * num_modes
+    for start, stop, axis, held in bounds:
+        entry = axis is not None and in_momentum[axis]
+        transforms = 0
+        for needs, _ in ops[start:stop]:
+            for a, momentum in needs:
+                transforms += a == axis and in_momentum[a] != momentum
+                in_momentum[a] = momentum
+        if axis is not None:
+            key = (axis, entry, *(id(table) for _, table in ops[start:stop]))
+            blocks.append(_Block(start, stop, axis, entry, in_momentum[axis], transforms,
+                                 tuple(sorted(held.items())), key))
+    return blocks
+
+
+def _composed_blocks(spec: GridSpec, ops: Sequence[_Op]) -> dict[int, _Block]:
+    """The blocks the plan runs as matrices, by their first op.
+
+    A block composes when its key occurs at least twice (a block that runs
+    once costs about as much to build as to run), when its transforms cost
+    well over one matmul, and while the state and the distinct blocks'
+    matrices fit under MEMORY_CAP_BYTES.
+    """
+    n = spec.points_per_mode
+    blocks = _blocks(spec.num_modes, ops)
+    repeats = Counter(block.key for block in blocks)
+    room = MEMORY_CAP_BYTES - 16 * n ** spec.num_modes
+    sized: set[tuple] = set()
+    composed: dict[int, _Block] = {}
+    for block in blocks:
+        # Cost per state point on a 2-vCPU Xeon, in ns: one length-N
+        # transform 3.3 (N=16), 6.8 (32), 8-10 (64-256), one multiply about
+        # 2, and one batched matmul by N x N matrices 10 (N=16), 12 (32),
+        # 13 (64), 17 (128), 27 (256). With their multiplies, more than N/8
+        # transforms cost 1.6 (N=16) to 12 (N=256) times one matmul; the
+        # margin pays for the build and for a transpose.
+        if repeats[block.key] < 2 or 8 * block.transforms <= n:
+            continue
+        if block.key not in sized:
+            size = 16 * n ** (len(block.fixed) + 2)
+            if size > room:
+                continue
+            room -= size
+            sized.add(block.key)
+        composed[block.start] = block
+    return composed
+
+
+def _block_matrices(
+    spec: GridSpec, ops: Sequence[_Op], block: _Block,
+    products: dict[tuple[int, ...], np.ndarray],
+) -> np.ndarray:
+    """A block's operator as one N x N matrix per fiber of its fixed axes,
+    shape ``(N,) * len(block.fixed) + (N, N)``, built in place by running
+    the block's own ops and FFTs on the identity."""
+    n, k = spec.points_per_mode, block.axis
+    fixed = [axis for axis, _ in block.fixed]
+    untouched = [a for a in range(spec.num_modes) if a != k and a not in fixed]
+    matrices = np.zeros((n,) * len(fixed) + (n, n), dtype=complex)
+    matrices[..., range(n), range(n)] = 1.0
+    # A view with the grid's axes: the fixed axes and k in place, the
+    # column index on the first untouched axis, the others of length one.
+    labels = fixed + [k] + untouched
+    view = matrices.reshape(matrices.shape + (1,) * (len(untouched) - 1))
+    view = view.transpose(np.argsort(labels))
+    momentum = block.entry
+    run: list[np.ndarray] = []
+    for needs, table in ops[block.start:block.stop]:
+        if (k, not momentum) in needs:
+            _multiply_run(view, run, products)
+            momentum = not momentum
+            # overwrite_x: scipy writes the aligned complex view in place
+            view = _fft(view, k) if momentum else _ifft(view, k)
+        run.append(table)
+    _multiply_run(view, run, products)
+    return matrices
+
+
+def _apply_block(psi: np.ndarray, matrices: np.ndarray, block: _Block) -> None:
+    """Apply a block's operator to psi in place, one chunk of about 1 MB
+    along the first axis other than the block's at a time.
+
+    A chunk is a reshape view when its fixed axes come first, followed by
+    the block's axis and then the untouched axes, or by the untouched axes
+    and then the block's axis; any other layout costs one transpose.
+    """
+    k, n = block.axis, matrices.shape[-1]
+    fixed = [axis for axis, _ in block.fixed]
+    untouched = [a for a in range(psi.ndim) if a != k and a not in fixed]
+    k_last = k > untouched[-1]
+    order = fixed + (untouched + [k] if k_last else [k] + untouched)
+    along = 1 if k == 0 else 0
+    step = max(1, n * 2 ** 20 // psi.nbytes)
+    index = [slice(None)] * psi.ndim
+    for start in range(0, n, step):
+        index[along] = slice(start, start + step)
+        part = psi[tuple(index)].transpose(order)
+        mats = matrices[start:start + step] if fixed and fixed[0] == along else matrices
+        fibers = mats.size // (n * n)
+        mats = mats.reshape(fibers, n, n)
+        if k_last:
+            out = np.matmul(part.reshape(fibers, -1, n), mats.transpose(0, 2, 1))
+        else:
+            out = np.matmul(mats, part.reshape(fibers, n, -1))
+        part[...] = out.reshape(part.shape)
+
+
 def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
-    """Execute a gate list as one compiled plan on a copy of the state.
+    """Execute a gate list as one compiled plan; the state is not written.
 
     The gates are fused, each distinct fused gate is lowered once (the
     tables live only for this call), and every axis changes basis only
     when the next op needs the other one; all axes end in position. The
     tables of consecutive ops between two basis changes form a run that
-    multiplies the state once.
+    multiplies the state once, and each composed block is one matmul by
+    matrices built on its first occurrence.
     """
     spec = state.spec
-    psi = state.psi.copy()
-    tables: dict[Gate, list[_Op]] = {}
+    ops = _lower_plan(spec, gates)
+    composed = _composed_blocks(spec, ops)
+    matrices: dict[tuple, np.ndarray] = {}
     products: dict[tuple[int, ...], np.ndarray] = {}
     run: list[np.ndarray] = []
     run_axes: set[int] = set()
     in_momentum = [False] * spec.num_modes
-    for gate in fuse_gates(gates):
-        ops = tables.get(gate)
-        if ops is None:
-            ops = tables[gate] = _lower(spec, gate)
-        for needs, table in ops:
-            axes = {axis for axis, _ in needs}
-            switches = [(axis, momentum) for axis, momentum in needs
-                        if in_momentum[axis] != momentum]
-            # A run ends at a basis change, and before its product would
-            # span every axis: a product never takes the size of the state.
-            if switches or len(run_axes | axes) == spec.num_modes:
-                _multiply_run(psi, run, products)
-                run_axes = set()
-            for axis, momentum in switches:
-                psi = _fft(psi, axis) if momentum else _ifft(psi, axis)
-                in_momentum[axis] = momentum
-            run.append(table)
+    # The caller's array is never written: the first FFT writes a new
+    # array, and the first multiply or block works on a copy.
+    psi = state.psi
+    i = 0
+    while i < len(ops):
+        block = composed.get(i)
+        needs = block.fixed if block else ops[i].needs
+        axes = {axis for axis, _ in needs}
+        switches = [(axis, momentum) for axis, momentum in needs
+                    if in_momentum[axis] != momentum]
+        # A run ends at a basis change or a block, and before its product
+        # would span every axis: a product never takes the size of the state.
+        if block or switches or len(run_axes | axes) == spec.num_modes:
+            if run and psi is state.psi:
+                psi = psi.copy()
+            _multiply_run(psi, run, products)
+            run_axes = set()
+        for axis, momentum in switches:
+            transform = _fft if momentum else _ifft
+            psi = transform(psi, axis, overwrite_x=psi is not state.psi)
+            in_momentum[axis] = momentum
+        if block:
+            built = matrices.get(block.key)
+            if built is None:
+                built = matrices[block.key] = _block_matrices(spec, ops, block, products)
+            if psi is state.psi:
+                psi = psi.copy()
+            _apply_block(psi, built, block)
+            in_momentum[block.axis] = block.exit
+            i = block.stop
+        else:
+            run.append(ops[i].table)
             run_axes |= axes
+            i += 1
+    if psi is state.psi:  # no FFT, multiply or block yet: all axes in position
+        psi = psi.copy()
     _multiply_run(psi, run, products)
     for axis, momentum in enumerate(in_momentum):
         if momentum:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -662,3 +662,188 @@ class TestCompiledPlan:
                 apply_sequence(state, seq)
             with pytest.raises(BlowUpError):
                 apply_sequence(state, GateSequence(2))
+
+
+def kvn_of(hamiltonian: str, n: int):
+    return build_kvn(validate_separation(parse_polynomial(hamiltonian, 2 * n), n))
+
+
+def random_state(spec: GridSpec, seed: int) -> GridState:
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    return GridState(spec, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume))
+
+
+def uncomposed(state: GridState, seq: GateSequence) -> GridState:
+    """apply_sequence with no memory for block matrices: every block runs
+    op by op, as before composition."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid, "MEMORY_CAP_BYTES", state.psi.nbytes)
+        return apply_sequence(state, seq)
+
+
+def relative_deviation(a: GridState, b: GridState) -> float:
+    return float(np.abs(a.psi - b.psi).max() / np.abs(b.psi).max())
+
+
+def bases_before(ops, start: int, num_modes: int) -> list[bool]:
+    """The basis of every axis just before op ``start``: lazy switching
+    leaves each axis in the basis its last op needed."""
+    in_momentum = [False] * num_modes
+    for needs, _ in ops[:start]:
+        for axis, momentum in needs:
+            in_momentum[axis] = momentum
+    return in_momentum
+
+
+def composed_blocks(spec: GridSpec, seq) -> tuple[list, dict]:
+    ops = grid._lower_plan(spec, seq)
+    return ops, grid._composed_blocks(spec, ops)
+
+
+def needs_transpose(block, num_modes: int) -> bool:
+    fixed = [axis for axis, _ in block.fixed]
+    untouched = [a for a in range(num_modes) if a != block.axis and a not in fixed]
+    layouts = (fixed + [block.axis] + untouched, fixed + untouched + [block.axis])
+    return list(range(num_modes)) not in layouts
+
+
+_Q, _P, _D = GateKind.QUARTIC_PHASE, GateKind.QUADRATIC_PHASE, GateKind.MOMENTUM_DISPLACEMENT
+_CX, _CZ, _R = GateKind.CONTROLLED_X, GateKind.CONTROLLED_Z, GateKind.ROTATION
+_F, _FDAG = GateKind.FOURIER, GateKind.FOURIER_INVERSE
+
+# Three modes. Each step has a block on axis 0 that enters and leaves in
+# momentum and holds axis 2 in position, which the step's first gate left in
+# momentum (a hoisted switch); axis 1 is untouched, so the fibers (axis 2)
+# follow the block's axis and every chunk takes a transpose.
+HOISTED_TRANSPOSED = GateSequence(3, (
+    Gate(_CX, (0, 2), 0.3), Gate(_CX, (1, 0), 0.2), Gate(_P, (2,), 0.1),
+    Gate(_CX, (2, 0), 0.25), Gate(_Q, (0,), 0.02), Gate(_F, (0,)), Gate(_CX, (2, 0), -0.15),
+) * 3)
+# The plan's first op opens a composed block (axis 0, axis 2 held in
+# position); CZ with the untouched axis 1 closes it each step.
+BLOCK_FIRST = GateSequence(3, (
+    Gate(_P, (2,), 0.1), Gate(_CX, (2, 0), 0.25), Gate(_Q, (0,), 0.02), Gate(_F, (0,)),
+    Gate(_CX, (2, 0), -0.15), Gate(_Q, (0,), -0.01), Gate(_CZ, (1, 0), 0.2),
+) * 3)
+MULTIPLY_FIRST = GateSequence(3, (Gate(_Q, (1,), 0.05), Gate(_CX, (0, 1), 0.3)))
+
+
+@st.composite
+def repeated_plans(draw):
+    """On 3 or 4 modes, a step of one to three stretches, each of gates on
+    one axis and controls between it and some other axes, repeated two or
+    three times."""
+    d = draw(st.sampled_from([3, 4]))
+    strength = st.floats(-0.5, 0.5).filter(bool)
+    step = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, d - 1))
+        others = [a for a in range(d) if a != k]
+        controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=d - 2))
+        gates = [
+            st.builds(Gate, st.sampled_from([_Q, _P, _D]), st.just((k,)), strength),
+            st.builds(Gate, st.sampled_from([_F, _FDAG]), st.just((k,))),
+            st.builds(Gate, st.just(_R), st.just((k,)), st.floats(-3.0, 3.0).filter(bool)),
+        ]
+        gates += [st.builds(Gate, st.sampled_from([_CX, _CZ]), st.sampled_from([(j, k), (k, j)]),
+                            strength) for j in controls]
+        step += draw(st.lists(st.one_of(gates), min_size=1, max_size=10))
+    return GateSequence(d, tuple(step) * draw(st.integers(2, 3)))
+
+
+class TestComposedBlocks:
+    """A repeated single-axis block runs as one matmul by matrices built from
+    its own ops; running every block op by op (no memory for matrices) is
+    the reference."""
+
+    def test_coupled4_composes_three_blocks_per_step(self, monkeypatch):
+        steps = 20
+        spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
+        circuit = trotter_circuit(kvn_of(COUPLED4_H, 2), 1.0, steps, 2)
+        _, composed = composed_blocks(spec, circuit)
+        blocks = list(composed.values())
+        assert [block.axis for block in blocks] == [2, 3, 2] * steps
+        assert len({block.key for block in blocks}) == 3
+        # fibers on axes 0 and 1, one untouched axis: each block's matrices
+        # take the state's size, and the two layouts need no transpose
+        assert all([axis for axis, _ in block.fixed] == [0, 1] for block in blocks)
+        assert not any(needs_transpose(block, 4) for block in blocks)
+        assert min(block.transforms for block in blocks) >= 17
+        built, applied = [], []
+        block_matrices, apply_block = grid._block_matrices, grid._apply_block
+        monkeypatch.setattr(grid, "_block_matrices",
+                            lambda *args: built.append(args[2]) or block_matrices(*args))
+        monkeypatch.setattr(grid, "_apply_block",
+                            lambda *args: applied.append(args[2]) or apply_block(*args))
+        state = prepare_gaussian(spec, [1.0, 0.5, 0.0, 0.0], 0.5 * np.eye(4))
+        planned = apply_sequence(state, circuit)
+        monkeypatch.undo()
+        assert len(built) == 3
+        assert [block[:7] for block in applied] == [block[:7] for block in blocks]
+        assert relative_deviation(planned, uncomposed(state, circuit)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "hamiltonian,points,half_extent,t,steps,order",
+        [
+            ("1/2 * x2^2 + 1/2 * x1^2 + 1/40 * x1^4", 256, 16.0, 1.0, 200, 2),
+            ("1/2 * x2^2 + 1/2 * x1^2", 128, 8.0, np.pi / 2, 200, 2),
+            ("1/2 * x2^2 + 1/2 * x1^2", 128, 8.0, np.pi / 2, 25, 1),
+            ("1/2 * x2^2 + 1/2 * x1^2", 128, 8.0, np.pi / 2, 200, 1),
+            ("1/2 * x2^2 + 1/2 * x1^2 + 1/40 * x1^4", 64, 16.0, 1.0, 20, 2),
+        ],
+        ids=["quartic-C6", "harmonic-C4", "C4-order1-25", "C4-order1-200", "quartic-64"],
+    )
+    def test_two_axis_plans_compose_nothing(self, hamiltonian, points, half_extent, t,
+                                            steps, order):
+        spec = GridSpec(num_modes=2, points_per_mode=points, half_extent=half_extent)
+        circuit = trotter_circuit(kvn_of(hamiltonian, 1), t, steps, order)
+        ops, composed = composed_blocks(spec, circuit)
+        assert composed == {}
+        assert max((block.transforms for block in grid._blocks(2, ops)), default=0) <= 3
+
+    def test_hoisted_switch_transpose_and_momentum_ends(self):
+        spec = GridSpec(num_modes=3, points_per_mode=16, half_extent=8.0)
+        ops, composed = composed_blocks(spec, HOISTED_TRANSPOSED)
+        assert len(composed) == 3
+        for start, block in composed.items():
+            before = bases_before(ops, start, 3)
+            assert block.entry and block.exit and before[block.axis]
+            assert [axis for axis, momentum in block.fixed if before[axis] != momentum] == [2]
+            assert needs_transpose(block, 3)
+        state = random_state(spec, 0)
+        planned = apply_sequence(state, HOISTED_TRANSPOSED)
+        reference = TestCompiledPlan.gate_by_gate(state, HOISTED_TRANSPOSED)
+        assert relative_deviation(planned, uncomposed(state, HOISTED_TRANSPOSED)) <= 1e-12
+        assert relative_deviation(planned, reference) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=repeated_plans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(seq=HOISTED_TRANSPOSED, seed=0)
+    def test_composed_plans_match_uncomposed(self, seq, seed):
+        spec = GridSpec(num_modes=seq.num_modes, points_per_mode=16, half_extent=8.0)
+        state = random_state(spec, seed)
+        before = state.psi.copy()
+        planned = apply_sequence(state, seq)
+        assert np.array_equal(state.psi, before)
+        assert relative_deviation(planned, uncomposed(state, seq)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["empty", "multiply-first", "block-first",
+                                      "ends-in-momentum"])
+    def test_input_state_never_written(self, name):
+        spec = GridSpec(num_modes=3, points_per_mode=16, half_extent=8.0)
+        seq = {"empty": GateSequence(3), "multiply-first": MULTIPLY_FIRST,
+               "block-first": BLOCK_FIRST, "ends-in-momentum": HOISTED_TRANSPOSED}[name]
+        ops, composed = composed_blocks(spec, seq)
+        if name == "multiply-first":
+            assert not any(momentum for _, momentum in ops[0].needs)
+        if name == "block-first":
+            assert 0 in composed
+        if name == "ends-in-momentum":
+            assert any(bases_before(ops, len(ops), 3))
+        state = random_state(spec, 1)
+        before = state.psi.copy()
+        outputs = [apply_sequence(state, seq)]
+        outputs += [apply_gate(state, gate) for gate in seq]
+        assert np.array_equal(state.psi, before)
+        assert all(not np.shares_memory(out.psi, state.psi) for out in outputs)

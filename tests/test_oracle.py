@@ -189,10 +189,11 @@ class TestLiouvilleDensity:
         pushed_mean = rot @ np.array([1.0, 0.0])
         pushed_cov = rot @ np.diag([0.5, 0.2]) @ rot.T
         pushed = gaussian_density(pushed_mean, pushed_cov)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, size=2)
-            assert float(rho0(fm.flow_array(x, -t))) == pytest.approx(
+        # the ten points flow in one call; each row is the same arithmetic
+        # as a one-point call
+        points = np.random.default_rng(2).uniform(-2, 2, size=(10, 2))
+        for x, origin in zip(points, fm.flow_array(points, -t)):
+            assert float(rho0(origin)) == pytest.approx(
                 float(pushed(x)), rel=1e-5, abs=1e-9
             )
 
