@@ -67,6 +67,11 @@ never change the synthesized circuit itself. The caller's state is never
 written: the first FFT, multiply or block of a plan writes a new array. A
 state that is not finite after a plan raises BlowUpError.
 
+``scipy.fft`` is imported inside ``_fft`` and ``_ifft``, on the first
+transform, so loading this module costs no scipy import (about 0.3 s,
+mostly ``scipy.special``) and a command that runs no transform never pays
+it; momenta come from ``np.fft.fftfreq``, bitwise equal to scipy's.
+
 The grid is an emulation device: extent and resolution are engineering
 choices, not part of the compiled circuits.
 """
@@ -80,7 +85,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .kvn import KvNTerm
 from .synth import Gate, GateKind, GateSequence
@@ -169,7 +173,7 @@ class GridSpec:
         return np.stack(np.meshgrid(*([xs] * self.num_modes), indexing="ij"), axis=-1)
 
     def momenta_fft_order(self) -> np.ndarray:
-        return 2.0 * np.pi * sfft.fftfreq(self.points_per_mode, d=self.dx)
+        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_mode, d=self.dx)
 
     def axis_view(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Reshape a 1-D per-axis array for broadcasting over the grid."""
@@ -297,10 +301,14 @@ class _Op(NamedTuple):
 
 
 def _fft(psi: np.ndarray, axis: int, overwrite_x: bool = True) -> np.ndarray:
+    import scipy.fft as sfft  # lazily: see the module docstring
+
     return sfft.fft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=overwrite_x)
 
 
 def _ifft(psi: np.ndarray, axis: int, overwrite_x: bool = True) -> np.ndarray:
+    import scipy.fft as sfft
+
     return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=overwrite_x)
 
 
@@ -659,10 +667,11 @@ def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridSta
         )
     axes = [spec.axis_view(spec.positions(), i) for i in range(spec.num_modes)]
     p = spec.axis_view(spec.momenta_fft_order(), term.mode)
-    # One full-size complex array, built and exponentiated in place before
-    # the state is copied; the factor's real temporaries are gone by then.
-    phase = -1j * s * (term.sign * term.factor.evaluate_array(axes))
-    phase *= p
+    # The factor spans only the axes it reads; the one full-size complex
+    # array is its product with p, exponentiated in place before the state
+    # is copied.
+    phase = np.empty(spec.shape, dtype=complex)
+    np.multiply(-1j * s * (term.sign * term.factor.evaluate_array(axes)), p, out=phase)
     np.exp(phase, out=phase)
     psi = _fft(state.psi.copy(), term.mode)
     psi *= phase

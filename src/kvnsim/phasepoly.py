@@ -82,8 +82,13 @@ class SparsePolynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, terms: Mapping) -> "SparsePolynomial":
-        return type(self)(self.num_vars // self._VARS_PER_MODE, terms)
+    def _like(self, terms: dict) -> "SparsePolynomial":
+        """Wrap a result of this class's own arithmetic: its multi-indices
+        and coefficient types are valid already, so only zeros are dropped."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "num_vars", self.num_vars)
+        object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -155,7 +160,7 @@ class SparsePolynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        out = self._like({(0,) * self.num_vars: 1})
+        out = self._like({(0,) * self.num_vars: self._coerce(1)})
         for _ in range(exponent):
             out = out * self
         return out
@@ -232,14 +237,18 @@ class PhasePolynomial(SparsePolynomial):
 
     def evaluate_array(self, coords: Sequence) -> np.ndarray:
         """Evaluate at the points given variables first: ``coords`` holds
-        one array per variable, and the arrays broadcast together.
+        one array per variable, and the arrays of the variables that appear
+        broadcast together.
 
         So ``coords`` can be one point, a ``(num_vars, M)`` array or a grid's
-        per-axis views; the result has the broadcast shape (0-d for one
-        point). Integer input is evaluated in floating point and complex
-        input stays complex. Powers come from a per-variable table built by
-        repeated multiplication, because NumPy sends ``x ** e`` with an
-        integer ``e >= 3`` through ``pow``, about a hundred times slower.
+        per-axis views. The result has the broadcast shape of the
+        coordinates of the variables in ``support()`` only (0-d for one
+        point or a constant): on a grid, ``x1 * x2`` keeps size 1 along
+        every other axis. Integer input is evaluated in floating point and
+        complex input stays complex. Powers come from a per-variable table
+        built by repeated multiplication, because NumPy sends ``x ** e``
+        with an integer ``e >= 3`` through ``pow``, about a hundred times
+        slower.
         """
         if len(coords) != self.num_vars:
             raise ValueError(
@@ -247,17 +256,19 @@ class PhasePolynomial(SparsePolynomial):
             )
         coords = [np.asarray(c) for c in coords]
         dtype = np.result_type(*coords, float)
-        out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=dtype)
+        shapes = []
         powers = []
         # zip(*terms) yields each variable's exponents (nothing when p == 0)
         for x, exponents in zip(coords, zip(*self.terms)):
             m = max(exponents)
             row = [None] * (m + 1)
             if m:
+                shapes.append(x.shape)
                 row[1] = x.astype(dtype, copy=False)
                 for k in range(2, m + 1):
                     row[k] = row[k - 1] * row[1]
             powers.append(row)
+        out = np.zeros(np.broadcast_shapes(*shapes), dtype=dtype)
         for expo, coeff in self.terms.items():
             term = None
             for i, e in enumerate(expo):

@@ -23,6 +23,7 @@ rule of the Liouville operator used to transport Born densities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,11 +70,16 @@ class ComplexRational:
     def __mul__(self, other) -> "ComplexRational":
         if not isinstance(other, _EXACT):
             return NotImplemented
-        other = ComplexRational.coerce(other)
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, ComplexRational):
+            return ComplexRational(self.re * other, self.im * other)
+        # A purely real or purely imaginary factor takes 2 Fraction
+        # products instead of 4; the value is the same.
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            return ComplexRational(a * c, b * c)
+        if not c:
+            return ComplexRational(-(b * d), a * d)
+        return ComplexRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -104,17 +110,20 @@ I = ComplexRational(Fraction(0), Fraction(1))
 _MINUS_I_POW = (ONE, -I, -ONE, I)
 
 
-def _reorder_px(a: int, b: int) -> list[tuple[tuple[int, int], ComplexRational]]:
+@functools.cache
+def _reorder_px(a: int, b: int) -> tuple[tuple[tuple[int, int], ComplexRational], ...]:
     """Normal order P^b X^a on one mode.
 
     P^b X^a = sum_k k! C(a,k) C(b,k) (-i)^k X^(a-k) P^(b-k), a direct
-    consequence of [X, P] = i applied recursively.
+    consequence of [X, P] = i applied recursively. Cached, since products
+    ask for a few small (a, b) over and over; the k = 0 factor is ``ONE``
+    itself, so a product can skip multiplying by it.
     """
-    out = []
-    for k in range(min(a, b) + 1):
+    out = [((a, b), ONE)]
+    for k in range(1, min(a, b) + 1):
         c = math.comb(a, k) * math.comb(b, k) * math.factorial(k)
         out.append(((a - k, b - k), _MINUS_I_POW[k % 4] * c))
-    return out
+    return tuple(out)
 
 
 class WeylPolynomial(SparsePolynomial):
@@ -144,7 +153,8 @@ class WeylPolynomial(SparsePolynomial):
         for j in range(m):
             options = _reorder_px(e2[j], e1[m + j])
             partial = [
-                (xs + (e1[j] + dx,), ps + (dp + e2[m + j],), c * factor)
+                (xs + (e1[j] + dx,), ps + (dp + e2[m + j],),
+                 c if factor is ONE else c * factor)
                 for xs, ps, c in partial
                 for (dx, dp), factor in options
             ]
@@ -181,21 +191,6 @@ class WeylPolynomial(SparsePolynomial):
         return max(
             (max(e[j] + e[m + j] for j in range(m)) for e in self.terms), default=0
         )
-
-    def adjoint(self) -> "WeylPolynomial":
-        """Hermitian adjoint: conjugate coefficients, reverse operator order,
-        then re-normal-order (X and P are self-adjoint)."""
-        m = self.num_modes
-        out = WeylPolynomial.zero(m)
-        for expo, coeff in self.terms.items():
-            term = WeylPolynomial.constant(m, coeff.conjugate())
-            for mode in range(m):
-                if expo[m + mode]:
-                    term = term * WeylPolynomial.p(m, mode) ** expo[m + mode]
-                if expo[mode]:
-                    term = term * WeylPolynomial.x(m, mode) ** expo[mode]
-            out = out + term
-        return out
 
     def __str__(self) -> str:
         if not self.terms:

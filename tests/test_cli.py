@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +239,27 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "identities PASS" in out
         assert "FAIL" not in out
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv", [["identities"], ["synth", "--config", str(QUARTIC_CONFIG)]]
+    )
+    def test_command_without_transforms_loads_no_scipy(self, argv):
+        # a fresh process, so no other test's imports count
+        code = (
+            "import sys\n"
+            "from kvnsim.cli import main\n"
+            f"code = main({argv!r})\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "sys.exit(code)\n"
+        )
+        paths = [str(QUARTIC_CONFIG.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestEvolve:

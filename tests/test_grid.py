@@ -101,6 +101,17 @@ class TestGridSpec:
             GridSpec(num_modes=1, points_per_mode=16, half_extent=half_extent)
         assert err.value.param == "half_extent"
 
+    @pytest.mark.parametrize("half_extent", [0.5, 3.0, 6.0, 8.0, 16.0, 1e-3, 7.3])
+    def test_momenta_match_scipy_fftfreq_bitwise(self, half_extent):
+        # numpy's fftfreq stands in for scipy's so that loading the grid
+        # needs no scipy import; the momenta must not move by one ulp
+        import scipy.fft
+
+        for n in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
+            spec = GridSpec(num_modes=1, points_per_mode=n, half_extent=half_extent)
+            expected = 2.0 * np.pi * scipy.fft.fftfreq(n, d=spec.dx)
+            assert np.array_equal(spec.momenta_fft_order(), expected)
+
     def test_positions_centered(self):
         xs = SPEC1.positions()
         assert xs[0] == -8.0

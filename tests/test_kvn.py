@@ -14,6 +14,7 @@ from kvnsim.kvn import (
 )
 from kvnsim.phasepoly import PhasePolynomial, parse_polynomial, poisson_bracket
 from kvnsim.weyl import WeylPolynomial
+from test_weyl import adjoint
 
 
 def ho(m=1, omega=1):
@@ -109,7 +110,7 @@ class TestBuildKvn:
     def test_formally_self_adjoint(self):
         for h in (ho(), quartic()):
             op = build_kvn(h).to_weyl()
-            assert op.adjoint() == op
+            assert adjoint(op) == op
 
     def test_generators_belong_to_catalog(self):
         # factor exponent patterns up to relabeling: degree <= 3 monomials

@@ -42,21 +42,29 @@ def coupled():
 
 def plain_leapfrog(h, points, steps):
     """Reference flow: kick-drift-kick with unmerged half-kicks, one point at
-    a time through PhasePolynomial.evaluate_array."""
+    a time in plain Python floats, each gradient summed term by term from
+    its ``terms`` (no kvnsim evaluator)."""
     n = h.n
-    grad_v = [h.V.partial_derivative(j) for j in range(n)]
-    grad_t = [h.T.partial_derivative(n + j) for j in range(n)]
+
+    def gradient(poly):
+        terms = [(float(c), expo) for expo, c in poly.terms.items()]
+        return lambda x: sum(
+            c * math.prod(v ** e for v, e in zip(x, expo) if e) for c, expo in terms
+        )
+
+    grad_v = [gradient(h.V.partial_derivative(j)) for j in range(n)]
+    grad_t = [gradient(h.T.partial_derivative(n + j)) for j in range(n)]
     out = []
     for point in np.asarray(points, dtype=float).reshape(-1, 2 * n):
         x = [float(v) for v in point]
         for dt in steps:
             for j in range(n):
-                x[n + j] -= dt / 2.0 * float(grad_v[j].evaluate_array(x))
-            drifts = [float(g.evaluate_array(x)) for g in grad_t]
+                x[n + j] -= dt / 2.0 * grad_v[j](x)
+            drifts = [g(x) for g in grad_t]
             for j in range(n):
                 x[j] += dt * drifts[j]
             for j in range(n):
-                x[n + j] -= dt / 2.0 * float(grad_v[j].evaluate_array(x))
+                x[n + j] -= dt / 2.0 * grad_v[j](x)
         out.append(x)
     return np.array(out)
 

@@ -59,6 +59,8 @@ class TestMul:
     def test_zero_annihilates(self):
         p = var(2, 0) + 3 * var(2, 1)
         assert (PhasePolynomial.zero(2) * p).is_zero
+        # scaling by 0 drops every term rather than keeping zero coefficients
+        assert (p * 0).is_zero and (Fraction(0) * p).is_zero
 
     def test_cube_against_binomial_theorem(self):
         # independent oracle: (x1 + 2 x2)^3 = sum_k C(3,k) x1^(3-k) (2 x2)^k
@@ -144,6 +146,18 @@ class TestEvaluate:
             )
             assert float(q.evaluate_array(point)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
+    def test_result_spans_only_the_support(self):
+        # x1 * x3 on a grid's per-axis views keeps size 1 along x2 and x4,
+        # and equals the full broadcast of the same evaluation
+        p = parse_polynomial("x1 * x3 - 1/2 * x3^2 + 3", 4)
+        xs = np.linspace(-2.0, 2.0, 5)
+        views = [xs.reshape([5 if i == j else 1 for i in range(4)]) for j in range(4)]
+        out = p.evaluate_array(views)
+        assert out.shape == (5, 1, 5, 1)
+        mesh = np.stack(np.meshgrid(*[xs] * 4, indexing="ij"))
+        assert np.array_equal(np.broadcast_to(out, (5,) * 4), p.evaluate_array(mesh))
+        assert PhasePolynomial.constant(4, 3).evaluate_array(views).shape == ()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             var(2, 0).evaluate_array([1.0])
@@ -188,8 +202,9 @@ class TestEvaluate:
         )
         pts = np.array(rows, dtype=float)
         out = p.evaluate_array(pts.T)
-        assert out.shape == (len(rows),)
-        for row, val in zip(rows, out):
+        # the points' axis is there only when some variable appears
+        assert out.shape == ((len(rows),) if p.support() else ())
+        for row, val in zip(rows, np.broadcast_to(out, (len(rows),))):
             scale = sum(
                 abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(row, expo))
                 for expo, c in p.terms.items()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kvnsim.expansion import admissible_exponent_triples
 from kvnsim.phasepoly import PhasePolynomial, poisson_bracket
@@ -11,6 +13,7 @@ from kvnsim.weyl import (
     I,
     NonTerminatingAdjointError,
     WeylPolynomial,
+    _reorder_px,
     adjoint_series,
     commutator,
     verify_key_decomposition,
@@ -19,6 +22,22 @@ from kvnsim.weyl import (
 
 X = WeylPolynomial.x
 P = WeylPolynomial.p
+
+
+def adjoint(op: WeylPolynomial) -> WeylPolynomial:
+    """Hermitian adjoint: conjugate coefficients, reverse operator order,
+    then re-normal-order (X and P are self-adjoint)."""
+    m = op.num_modes
+    out = WeylPolynomial.zero(m)
+    for expo, coeff in op.terms.items():
+        term = WeylPolynomial.constant(m, coeff.conjugate())
+        for mode in range(m):
+            if expo[m + mode]:
+                term = term * P(m, mode) ** expo[m + mode]
+            if expo[mode]:
+                term = term * X(m, mode) ** expo[mode]
+        out = out + term
+    return out
 
 
 def random_weyl(rng, num_modes, degree, num_terms=4):
@@ -60,6 +79,54 @@ class TestComplexRational:
             ONE * 0.5
         with pytest.raises(TypeError):
             ONE + 0.5
+
+
+# Zero parts come up often, so that purely real and purely imaginary
+# factors (the short paths of the product) are well covered.
+PARTS = st.just(Fraction(0)) | st.fractions(max_denominator=60)
+GAUSSIAN_RATIONALS = st.builds(ComplexRational, PARTS, PARTS)
+
+
+def full_product(a, b, c, d):
+    """(a + b i)(c + d i) by the four-product formula."""
+    return ComplexRational(a * c - b * d, a * d + b * c)
+
+
+class TestComplexRationalProduct:
+    @given(GAUSSIAN_RATIONALS, GAUSSIAN_RATIONALS)
+    def test_matches_four_product_formula(self, z, w):
+        assert z * w == full_product(z.re, z.im, w.re, w.im)
+
+    @given(GAUSSIAN_RATIONALS, PARTS | st.integers(-50, 50))
+    def test_scalar_on_either_side(self, z, k):
+        expected = full_product(z.re, z.im, Fraction(k), Fraction(0))
+        assert z * k == expected and k * z == expected
+
+
+def normal_ordered_px(a, b):
+    """P^b X^a in normal order by the recursion P X^i = X^i P - i i X^(i-1),
+    applying one P from the left at a time; {(i, j): c} means c X^i P^j,
+    with exact Gaussian-integer coefficients held as Python complex."""
+    terms = {(a, 0): 1 + 0j}
+    for _ in range(b):
+        nxt = {}
+        for (i, j), c in terms.items():
+            nxt[i, j + 1] = nxt.get((i, j + 1), 0) + c
+            if i:
+                nxt[i - 1, j] = nxt.get((i - 1, j), 0) - 1j * i * c
+        terms = {key: c for key, c in nxt.items() if c}
+    return terms
+
+
+class TestReorder:
+    @pytest.mark.parametrize("a", range(7))
+    @pytest.mark.parametrize("b", range(7))
+    def test_matches_commutator_recursion(self, a, b):
+        table = _reorder_px(a, b)
+        assert isinstance(table, tuple) and _reorder_px(a, b) is table
+        got = {key: complex(float(c.re), float(c.im)) for key, c in table}
+        assert len(got) == len(table)
+        assert got == normal_ordered_px(a, b)
 
 
 class TestWeylMul:
@@ -232,24 +299,24 @@ class TestAdjoint:
     def test_hermitian_generator(self):
         # X2 P1 is Hermitian because the factors commute
         op = X(2, 1) * P(2, 0)
-        assert op.adjoint() == op
+        assert adjoint(op) == op
 
     def test_xp_same_mode(self):
         # (X1 P1)^dag = P1 X1 = X1 P1 - i
         op = X(1, 0) * P(1, 0)
-        assert op.adjoint() == op - WeylPolynomial.constant(1, I)
+        assert adjoint(op) == op - WeylPolynomial.constant(1, I)
 
     def test_involution(self):
         rng = random.Random(41)
         for _ in range(10):
             a = random_weyl(rng, 2, 3)
-            assert a.adjoint().adjoint() == a
+            assert adjoint(adjoint(a)) == a
 
     def test_antihomomorphism(self):
         rng = random.Random(43)
         a = random_weyl(rng, 2, 2)
         b = random_weyl(rng, 2, 2)
-        assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+        assert adjoint(a * b) == adjoint(b) * adjoint(a)
 
 
 class TestKeyDecomposition:
