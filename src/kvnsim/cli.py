@@ -158,7 +158,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"outputs: cannot create the directory {out_dir}: {exc}") from exc
     _write_text(out_dir / "density.csv", density_to_csv(result.density))
     _write_text(out_dir / "moments.csv",
                 moments_to_csv(result.mean, result.cov, result.metrics))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import MAX_MODES, GridSpec, GridSpecError, check_gaussian
+from .grid import MAX_MODES, MEMORY_CAP_BYTES, GridSpec, GridSpecError, check_gaussian
 from .kvn import (
     ClassicalHamiltonian,
     DegreeError,
@@ -26,6 +26,7 @@ from .kvn import (
     validate_separation,
 )
 from .phasepoly import parse_polynomial
+from .synth import trotter_circuit
 
 CONFIG_VERSION = 1
 BACKENDS = ("grid", "gaussian")
@@ -211,6 +212,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     order = _read(data, "evolution.order", _integer, 1)
     if order not in (1, 2):
         raise ConfigError("evolution.order: must be 1 or 2")
+    # The circuit holds one 8-byte reference per gate; a step's gate count
+    # does not depend on its length.
+    per_step = len(trotter_circuit(kvn, 1.0, 1, order))
+    if 8 * per_step * n_steps > MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"evolution.n_steps: {n_steps} steps of {per_step} gates exceed the "
+            f"memory cap of {MEMORY_CAP_BYTES} bytes at 8 bytes per gate"
+        )
 
     backend = _read(data, "backend", _string, "grid")
     check_backend(backend, kvn)
@@ -218,6 +227,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     num_samples = _read(data, "sampling.num_samples", _integer, 0)
     if num_samples < 0:
         raise ConfigError("sampling.num_samples: must be nonnegative")
+    if 8 * 2 * n * num_samples > MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"sampling.num_samples: {num_samples} samples of {2 * n} coordinates exceed "
+            f"the memory cap of {MEMORY_CAP_BYTES} bytes at 8 bytes per coordinate"
+        )
     seed = _read(data, "sampling.seed", _integer, 0)
     if seed < 0:
         raise ConfigError("sampling.seed: must be nonnegative")

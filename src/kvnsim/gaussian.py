@@ -38,14 +38,6 @@ class GaussianState:
             raise ValueError("covariance must be positive definite")
 
     @classmethod
-    def vacuum(cls, num_modes: int) -> "GaussianState":
-        return cls(
-            num_modes,
-            np.zeros(2 * num_modes),
-            0.5 * np.eye(2 * num_modes),
-        )
-
-    @classmethod
     def from_position_density(
         cls, mean: np.ndarray, cov: np.ndarray
     ) -> "GaussianState":

@@ -28,15 +28,18 @@ the state spatially by its momentum extent, so a rotated or
 Fourier-transformed mode needs the box to contain the supports of both its
 quadratures, with margin.
 
-A gate list runs as one compiled plan (``apply_gate`` is the plan of a
-single gate):
+A gate list runs as one plan (``apply_gate`` is the plan of a single
+gate), compiled first and then executed. The compiler makes every static
+decision and emits a flat list of steps: transform one axis, multiply by
+an array, or apply a composed block. The executor is one loop over those
+steps, so the work of a plan can be counted without running it:
 
 1. adjacent gates that commute exactly are fused: same-kind additive
    gates on the same modes add their parameters and vanish when the sum
    is exactly zero, and an adjacent F/FDAG pair on one mode cancels;
 2. each distinct fused gate is lowered to its ops once per call, so a
    repetitive product-formula circuit builds only a handful of tables;
-3. the executor tracks the basis of every axis and transforms an axis
+3. the compiler tracks the basis of every axis and transforms an axis
    only when the next op needs the other basis, so consecutive ops in the
    momentum of one axis share one FFT pair; every axis ends in position;
 4. the tables of consecutive ops between two basis changes multiply the
@@ -52,20 +55,21 @@ single gate):
    recur in the plan, (b) it holds more than N/8 transforms, which cost
    well over one batched matmul, and (c) the state and the distinct
    blocks' matrices fit under MEMORY_CAP_BYTES. Its matrices are
-   built once per call, in place, by running the block's ops and FFTs on
-   the identity; every occurrence is then one matmul, a chunk of fibers
-   at a time, after the one switch each fixed axis needs. On the 4-mode
-   coupled-quartic plan (20 steps) 60 matmuls replace 1,480 of the 1,604
-   transforms on the state, and 3 builds take 74 transforms; the state
-   moves by about 1e-14 relative. The 2-axis product formulas repeat only
-   blocks of at most 3 transforms, below the bar for N >= 32, so their
-   plans run as before, bit for bit.
+   built once per call, while compiling: the same scheduler compiles the
+   block's ops from its entry and fixed bases, and the executor runs
+   those steps in place on the identity. Every occurrence is then one
+   matmul, a chunk of fibers at a time, after the one switch each fixed
+   axis needs. On the 4-mode coupled-quartic plan (20 steps) 60 matmuls
+   replace 1,480 of the 1,604 transforms on the state, and 3 builds take
+   74 transforms; the state moves by about 1e-14 relative. The 2-axis
+   product formulas repeat only blocks of at most 3 transforms, below the
+   bar for N >= 32, so their plans run as before, bit for bit.
 
 Fusion, basis tracking, run products and composed blocks change results
 by roundoff only (about 1e-13 relative against gate-by-gate execution) and
-never change the synthesized circuit itself. The caller's state is never
-written: the first FFT, multiply or block of a plan writes a new array. A
-state that is not finite after a plan raises BlowUpError.
+never change the synthesized circuit itself. A plan runs on a copy of the
+caller's state, which is never written. A state that is not finite after
+a plan raises BlowUpError.
 
 ``scipy.fft`` is imported inside ``_fft`` and ``_ifft``, on the first
 transform, so loading this module costs no scipy import (about 0.3 s,
@@ -300,16 +304,16 @@ class _Op(NamedTuple):
     table: np.ndarray
 
 
-def _fft(psi: np.ndarray, axis: int, overwrite_x: bool = True) -> np.ndarray:
+def _fft(psi: np.ndarray, axis: int) -> np.ndarray:
     import scipy.fft as sfft  # lazily: see the module docstring
 
-    return sfft.fft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=overwrite_x)
+    return sfft.fft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
 
 
-def _ifft(psi: np.ndarray, axis: int, overwrite_x: bool = True) -> np.ndarray:
+def _ifft(psi: np.ndarray, axis: int) -> np.ndarray:
     import scipy.fft as sfft
 
-    return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=overwrite_x)
+    return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
 
 
 def fuse_gates(gates: Iterable[Gate]) -> list[Gate]:
@@ -384,24 +388,6 @@ def _lower(spec: GridSpec, gate: Gate) -> list[_Op]:
         ops[-1] = _Op(last.needs, last.table * _METAPLECTIC[kind])
         return ops
     raise ValueError(f"unknown gate kind {kind}")  # pragma: no cover - enum is exhaustive
-
-
-def _multiply_run(
-    psi: np.ndarray, run: list[np.ndarray], products: dict[tuple[int, ...], np.ndarray]
-) -> None:
-    """Multiply psi in place by a same-basis run of tables and empty the run.
-
-    The run multiplies once, by the product of its tables (the table
-    itself for a run of one), cached in ``products`` under the tables' ids;
-    the plan keeps every table alive for its call, so the ids are stable.
-    """
-    if run:
-        key = tuple(map(id, run))
-        product = products.get(key)
-        if product is None:
-            product = products[key] = functools.reduce(np.multiply, run)
-        psi *= product
-        run.clear()
 
 
 def _lower_plan(spec: GridSpec, gates: Iterable[Gate]) -> list[_Op]:
@@ -508,13 +494,10 @@ def _composed_blocks(spec: GridSpec, ops: Sequence[_Op]) -> dict[int, _Block]:
     return composed
 
 
-def _block_matrices(
-    spec: GridSpec, ops: Sequence[_Op], block: _Block,
-    products: dict[tuple[int, ...], np.ndarray],
-) -> np.ndarray:
+def _block_matrices(spec: GridSpec, block: _Block, steps: list) -> np.ndarray:
     """A block's operator as one N x N matrix per fiber of its fixed axes,
-    shape ``(N,) * len(block.fixed) + (N, N)``, built in place by running
-    the block's own ops and FFTs on the identity."""
+    shape ``(N,) * len(block.fixed) + (N, N)``: the block's own steps,
+    scheduled from its entry and fixed bases, run in place on the identity."""
     n, k = spec.points_per_mode, block.axis
     fixed = [axis for axis, _ in block.fixed]
     untouched = [a for a in range(spec.num_modes) if a != k and a not in fixed]
@@ -524,17 +507,8 @@ def _block_matrices(
     # column index on the first untouched axis, the others of length one.
     labels = fixed + [k] + untouched
     view = matrices.reshape(matrices.shape + (1,) * (len(untouched) - 1))
-    view = view.transpose(np.argsort(labels))
-    momentum = block.entry
-    run: list[np.ndarray] = []
-    for needs, table in ops[block.start:block.stop]:
-        if (k, not momentum) in needs:
-            _multiply_run(view, run, products)
-            momentum = not momentum
-            # overwrite_x: scipy writes the aligned complex view in place
-            view = _fft(view, k) if momentum else _ifft(view, k)
-        run.append(table)
-    _multiply_run(view, run, products)
+    # scipy transforms the aligned complex view in place
+    _execute(steps, view.transpose(np.argsort(labels)))
     return matrices
 
 
@@ -567,67 +541,101 @@ def _apply_block(psi: np.ndarray, matrices: np.ndarray, block: _Block) -> None:
         part[...] = out.reshape(part.shape)
 
 
-def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
-    """Execute a gate list as one compiled plan; the state is not written.
+def _compile(spec: GridSpec, gates: Iterable[Gate]) -> list:
+    """Compile a gate list into the steps that ``_execute`` runs.
 
-    The gates are fused, each distinct fused gate is lowered once (the
-    tables live only for this call), and every axis changes basis only
-    when the next op needs the other one; all axes end in position. The
-    tables of consecutive ops between two basis changes form a run that
-    multiplies the state once, and each composed block is one matmul by
-    matrices built on its first occurrence.
+    A step is an ``(axis, momentum)`` pair, which transforms the axis to
+    momentum (True) or position (False); an array, which multiplies the
+    state; or a ``(block, matrices)`` pair, which applies a composed block.
+    The gates are fused, each distinct fused gate is lowered once, every
+    axis changes basis only when the next op needs the other one, and all
+    axes end in position. The run products and the block matrices are
+    built here, once each, and shared by every step that uses them.
     """
-    spec = state.spec
     ops = _lower_plan(spec, gates)
-    composed = _composed_blocks(spec, ops)
-    matrices: dict[tuple, np.ndarray] = {}
     products: dict[tuple[int, ...], np.ndarray] = {}
-    run: list[np.ndarray] = []
-    run_axes: set[int] = set()
+    matrices: dict[tuple, np.ndarray] = {}
+
+    def product(run: list[np.ndarray]) -> np.ndarray:
+        # keyed by the tables' ids, which stay stable while ``ops`` lives;
+        # a run of one is its table
+        key = tuple(map(id, run))
+        if key not in products:
+            products[key] = functools.reduce(np.multiply, run)
+        return products[key]
+
+    def schedule(start: int, stop: int, in_momentum: list[bool],
+                 composed: dict[int, _Block]) -> list:
+        """The steps of ops ``start:stop`` from the bases ``in_momentum``,
+        which it leaves as the ops do."""
+        steps: list = []
+        run: list[np.ndarray] = []
+        run_axes: set[int] = set()
+        i = start
+        while i < stop:
+            block = composed.get(i)
+            needs = block.fixed if block else ops[i].needs
+            axes = {axis for axis, _ in needs}
+            switches = [(axis, momentum) for axis, momentum in needs
+                        if in_momentum[axis] != momentum]
+            # A run ends at a basis change or a block, and before its product
+            # would span every axis: a product never takes the size of the state.
+            if run and (block or switches or len(run_axes | axes) == spec.num_modes):
+                steps.append(product(run))
+                run, run_axes = [], set()
+            steps += switches
+            for axis, momentum in switches:
+                in_momentum[axis] = momentum
+            if block:
+                steps.append((block, matrices[block.key]))
+                in_momentum[block.axis] = block.exit
+                i = block.stop
+            else:
+                run.append(ops[i].table)
+                run_axes |= axes
+                i += 1
+        if run:
+            steps.append(product(run))
+        return steps
+
+    # Each distinct block's matrices are built before the plan's own
+    # schedule, so ``schedule`` never calls itself: a closure that refers to
+    # itself would keep every product and matrix alive after the call, until
+    # the cycle collector runs.
+    composed = _composed_blocks(spec, ops)
+    for block in composed.values():
+        if block.key not in matrices:
+            bases = [False] * spec.num_modes
+            bases[block.axis] = block.entry
+            for axis, momentum in block.fixed:
+                bases[axis] = momentum
+            matrices[block.key] = _block_matrices(
+                spec, block, schedule(block.start, block.stop, bases, {}))
     in_momentum = [False] * spec.num_modes
-    # The caller's array is never written: the first FFT writes a new
-    # array, and the first multiply or block works on a copy.
-    psi = state.psi
-    i = 0
-    while i < len(ops):
-        block = composed.get(i)
-        needs = block.fixed if block else ops[i].needs
-        axes = {axis for axis, _ in needs}
-        switches = [(axis, momentum) for axis, momentum in needs
-                    if in_momentum[axis] != momentum]
-        # A run ends at a basis change or a block, and before its product
-        # would span every axis: a product never takes the size of the state.
-        if block or switches or len(run_axes | axes) == spec.num_modes:
-            if run and psi is state.psi:
-                psi = psi.copy()
-            _multiply_run(psi, run, products)
-            run_axes = set()
-        for axis, momentum in switches:
-            transform = _fft if momentum else _ifft
-            psi = transform(psi, axis, overwrite_x=psi is not state.psi)
-            in_momentum[axis] = momentum
-        if block:
-            built = matrices.get(block.key)
-            if built is None:
-                built = matrices[block.key] = _block_matrices(spec, ops, block, products)
-            if psi is state.psi:
-                psi = psi.copy()
-            _apply_block(psi, built, block)
-            in_momentum[block.axis] = block.exit
-            i = block.stop
+    steps = schedule(0, len(ops), in_momentum, composed)
+    return steps + [(axis, False) for axis, momentum in enumerate(in_momentum) if momentum]
+
+
+def _execute(steps: Sequence, psi: np.ndarray) -> np.ndarray:
+    """Run compiled steps on psi, in place where the transforms allow, and
+    return the result."""
+    for step in steps:
+        if isinstance(step, np.ndarray):
+            psi *= step
+        elif isinstance(step[0], _Block):
+            _apply_block(psi, step[1], step[0])
         else:
-            run.append(ops[i].table)
-            run_axes |= axes
-            i += 1
-    if psi is state.psi:  # no FFT, multiply or block yet: all axes in position
-        psi = psi.copy()
-    _multiply_run(psi, run, products)
-    for axis, momentum in enumerate(in_momentum):
-        if momentum:
-            psi = _ifft(psi, axis)
+            axis, momentum = step
+            psi = _fft(psi, axis) if momentum else _ifft(psi, axis)
+    return psi
+
+
+def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
+    """Compile a gate list and execute its steps on a copy of the state."""
+    psi = _execute(_compile(state.spec, gates), state.psi.copy())
     if not np.isfinite(psi).all():
         raise BlowUpError("grid state has non-finite amplitudes")
-    return GridState(spec, psi)
+    return GridState(state.spec, psi)
 
 
 def apply_gate(state: GridState, gate: Gate) -> GridState:

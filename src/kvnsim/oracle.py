@@ -19,29 +19,20 @@ from .grid import BlowUpError, DensityGrid, GridSpec, position_moments
 from .kvn import ClassicalHamiltonian
 from .phasepoly import PhasePolynomial
 
-INTEGRATORS = ("leapfrog", "rk4")
-
-
 @dataclass
 class FlowMap:
     """Numerical flow of Hamilton's equations for a separable Hamiltonian.
 
-    leapfrog alternates the exact kick (momentum update from grad V) and
-    drift (position update from grad T) flows and is symplectic; rk4 is the
-    generic fourth-order scheme on dx/dt = J grad H, kept as a cross-check.
+    Leapfrog alternates the exact kick (momentum update from grad V) and
+    drift (position update from grad T) flows and is symplectic.
     """
 
     hamiltonian: ClassicalHamiltonian
-    integrator: str = "leapfrog"
     dt: float = 1e-3
     _grad_v: list[PhasePolynomial] = field(init=False, repr=False)
     _grad_t: list[PhasePolynomial] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(
-                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
-            )
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         h = self.hamiltonian
@@ -74,22 +65,6 @@ class FlowMap:
             self._drift(x, h)
             pending = h / 2.0
         self._kick(x, pending)
-
-    def _vector_field(self, x: np.ndarray) -> np.ndarray:
-        # H is separable, so J grad H = (grad T, -grad V).
-        n = self.hamiltonian.n
-        out = np.empty_like(x)
-        for j in range(n):
-            out[j] = self._grad_t[j].evaluate_array(x)
-            out[n + j] = -self._grad_v[j].evaluate_array(x)
-        return out
-
-    def _rk4_step(self, x: np.ndarray, dt: float) -> None:
-        k1 = self._vector_field(x)
-        k2 = self._vector_field(x + 0.5 * dt * k1)
-        k3 = self._vector_field(x + 0.5 * dt * k2)
-        k4 = self._vector_field(x + dt * k3)
-        x += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def _step_sizes(self, t: float) -> list[float]:
         """Signed step sizes summing to t: whole dt steps, plus one shorter
@@ -126,12 +101,7 @@ class FlowMap:
         dtype = points.dtype if np.issubdtype(points.dtype, np.complexfloating) else float
         x = np.array(points.reshape(-1, dim).T, dtype=dtype, order="C")
         if t != 0.0:
-            steps = self._step_sizes(t)
-            if self.integrator == "leapfrog":
-                self._leapfrog(x, steps)
-            else:
-                for h in steps:
-                    self._rk4_step(x, h)
+            self._leapfrog(x, self._step_sizes(t))
             if not np.all(np.isfinite(x)):
                 bad = np.argwhere(~np.isfinite(x).all(axis=0).reshape(points.shape[:-1]))
                 raise BlowUpError(

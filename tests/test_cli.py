@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, config_from_dict, load_config
-from kvnsim.grid import GridSpec, apply_sequence, born_density, prepare_gaussian
+from kvnsim.grid import MEMORY_CAP_BYTES, GridSpec, apply_sequence, born_density, prepare_gaussian
 from kvnsim.synth import trotter_circuit
 
 QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
@@ -215,6 +215,9 @@ class TestExitCodes:
             ({"verify": {"tv_threshold": "x"}}, "verify.tv_threshold"),
             ({"outputs": ["a"]}, "outputs"),
             ({"grid": {"half_extent": 1e308}}, "grid.half_extent"),
+            # each bounded by the memory cap before anything is allocated
+            ({"evolution": {"n_steps": 10**30}}, "evolution.n_steps"),
+            ({"sampling": {"num_samples": 10**30}}, "sampling.num_samples"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, overrides, field):
@@ -225,6 +228,33 @@ class TestExitCodes:
         assert f"config error: {field}:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("field", ["evolution.n_steps", "sampling.num_samples"])
+    def test_memory_bound_exact(self, field):
+        # validated only, never run: the largest accepted value would
+        # allocate the whole memory cap
+        data = config_dict()
+        config = config_from_dict(data)
+        if field == "evolution.n_steps":
+            per_item = 8 * len(trotter_circuit(config.kvn, 1.0, 1, config.order))
+        else:
+            per_item = 8 * config.num_modes
+        section, key = field.split(".")
+        data[section][key] = MEMORY_CAP_BYTES // per_item
+        config_from_dict(data)
+        data[section][key] += 1
+        with pytest.raises(ConfigError, match=f"^{field}: .* memory cap"):
+            config_from_dict(data)
+
+    def test_output_directory_under_a_file_exit_code(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"n_steps": 2}, outputs=str(tmp_path / "file" / "out"))
+        code = main(["evolve", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: outputs:" in err
+        assert "Traceback" not in err
 
     def test_gaussian_backend_override_needs_quadratic_generator(self, tmp_path, capsys):
         code = main([

@@ -14,7 +14,8 @@ def ho_kvn():
 
 class TestGaussianState:
     def test_vacuum(self):
-        v = GaussianState.vacuum(2)
+        # inv(0.5 I) / 4 is 0.5 I exactly
+        v = GaussianState.from_position_density(np.zeros(2), 0.5 * np.eye(2))
         assert np.array_equal(v.mean, np.zeros(4))
         assert np.array_equal(v.cov, 0.5 * np.eye(4))
 
@@ -73,7 +74,7 @@ class TestEvolveGaussian:
                 parse_polynomial("1/2 * x2^2 + 1/40 * x1^4", 2), 1
             )
         )
-        state = GaussianState.vacuum(2)
+        state = GaussianState.from_position_density(np.zeros(2), 0.5 * np.eye(2))
         with pytest.raises(ValueError, match="quadratic"):
             evolve_gaussian(state, k, 0.1)
 
@@ -92,7 +93,7 @@ class TestEvolveGaussian:
         # constant factor: pure displacement of the target coordinate
         term = KvNTerm(factor=PhasePolynomial.constant(2, 1), mode=0, sign=1)
         h = KvNHamiltonian(n=1, terms=(term,))
-        state = GaussianState.vacuum(2)
+        state = GaussianState.from_position_density(np.zeros(2), 0.5 * np.eye(2))
         out = evolve_gaussian(state, h, 0.6)
         assert out.position_mean()[0] == pytest.approx(0.6)
         assert np.allclose(out.cov, state.cov, atol=1e-12)
@@ -106,6 +107,6 @@ class TestEvolveGaussian:
         assert np.linalg.eigvalsh(out.cov).min() > 0
 
     def test_mode_count_mismatch(self):
-        state = GaussianState.vacuum(4)
+        state = GaussianState.from_position_density(np.zeros(4), 0.5 * np.eye(4))
         with pytest.raises(ValueError, match="modes"):
             evolve_gaussian(state, ho_kvn(), 0.1)

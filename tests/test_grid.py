@@ -1,5 +1,7 @@
+import gc
 import os
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,8 @@ from kvnsim.synth import (
 from kvnsim.gaussian import GaussianState, evolve_gaussian
 
 
-QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+QUARTIC_CONFIG = CONFIGS / "quartic.json"
 COUPLED4_H = "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/20 * x1^2 * x2^2"
 
 SPEC1 = GridSpec(num_modes=1, points_per_mode=128, half_extent=8.0)
@@ -566,7 +569,7 @@ class TestCompiledPlan:
         reference = self.gate_by_gate(state, circuit)
         assert l2_distance(planned, reference) <= 1e-12 * reference.norm()
 
-    def test_same_basis_runs_match_gate_by_gate(self, monkeypatch):
+    def test_same_basis_runs_match_gate_by_gate(self):
         # position-diagonal CZ/Q/D/P ops on modes 0 and 1, then CX ops on the
         # momentum of mode 2 interleaved with position ops on mode 0; CX(1, 2)
         # would make its run's product span all three axes and starts a new run
@@ -583,20 +586,11 @@ class TestCompiledPlan:
         seq = GateSequence(3, tuple(block * 3))
         spec = GridSpec(num_modes=3, points_per_mode=32, half_extent=8.0)
         state = prepare_gaussian(spec, [0.5, -0.3, 0.2], 0.5 * np.eye(3))
-        runs = []
-        multiply_run = grid._multiply_run
-
-        def record(psi, run, products):
-            runs.append([table.shape for table in run])
-            multiply_run(psi, run, products)
-
-        monkeypatch.setattr(grid, "_multiply_run", record)
+        assert len(grid._lower_plan(spec, seq)) == 57
+        products = [step for step in grid._compile(spec, seq) if isinstance(step, np.ndarray)]
+        assert len(products) == 30
+        assert all(product.size < state.psi.size for product in products)
         planned = apply_sequence(state, seq)
-        monkeypatch.undo()
-        merged = [np.broadcast_shapes(*shapes) for shapes in runs if len(shapes) > 1]
-        assert max(map(len, runs)) >= 4
-        assert len(merged) >= 6
-        assert all(np.prod(shape) < state.psi.size for shape in merged)
         # the one-gate plans of gate_by_gate share the executor; the plain
         # reference below shares only the gates' tables
         psi = state.psi.copy()
@@ -613,6 +607,22 @@ class TestCompiledPlan:
         circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
         assert len(circuit) == 6400
         assert len(fuse_gates(circuit)) == 4801
+
+    @pytest.mark.parametrize(
+        "name,counts",
+        [("quartic", (6402, 6401, 0, 0)), ("harmonic", (802, 401, 0, 0)),
+         ("coupled4", (124, 101, 60, 3))],
+    )
+    def test_step_counts(self, name, counts):
+        # (transforms, multiplies, block steps, distinct block matrices)
+        if name == "coupled4":
+            spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
+            circuit = trotter_circuit(kvn_of(COUPLED4_H, 2), 1.0, 20, 2)
+        else:
+            config = load_config(CONFIGS / f"{name}.json")
+            spec = config.spec
+            circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
+        assert step_counts(grid._compile(spec, circuit)) == counts
 
     def test_fusion_rules(self):
         cx = Gate(GateKind.CONTROLLED_X, (0, 1), 0.25)
@@ -712,6 +722,19 @@ def composed_blocks(spec: GridSpec, seq) -> tuple[list, dict]:
     return ops, grid._composed_blocks(spec, ops)
 
 
+def is_block(step) -> bool:
+    return isinstance(step, tuple) and isinstance(step[0], grid._Block)
+
+
+def step_counts(steps) -> tuple[int, int, int, int]:
+    """Transforms, multiplies and block steps of a compiled plan, and the
+    number of distinct block matrices."""
+    blocks = [step for step in steps if is_block(step)]
+    multiplies = sum(isinstance(step, np.ndarray) for step in steps)
+    return (len(steps) - multiplies - len(blocks), multiplies, len(blocks),
+            len({id(matrices) for _, matrices in blocks}))
+
+
 def needs_transpose(block, num_modes: int) -> bool:
     fixed = [axis for axis, _ in block.fixed]
     untouched = [a for a in range(num_modes) if a != block.axis and a not in fixed]
@@ -768,7 +791,7 @@ class TestComposedBlocks:
     its own ops; running every block op by op (no memory for matrices) is
     the reference."""
 
-    def test_coupled4_composes_three_blocks_per_step(self, monkeypatch):
+    def test_coupled4_composes_three_blocks_per_step(self):
         steps = 20
         spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
         circuit = trotter_circuit(kvn_of(COUPLED4_H, 2), 1.0, steps, 2)
@@ -781,18 +804,28 @@ class TestComposedBlocks:
         assert all([axis for axis, _ in block.fixed] == [0, 1] for block in blocks)
         assert not any(needs_transpose(block, 4) for block in blocks)
         assert min(block.transforms for block in blocks) >= 17
-        built, applied = [], []
-        block_matrices, apply_block = grid._block_matrices, grid._apply_block
-        monkeypatch.setattr(grid, "_block_matrices",
-                            lambda *args: built.append(args[2]) or block_matrices(*args))
-        monkeypatch.setattr(grid, "_apply_block",
-                            lambda *args: applied.append(args[2]) or apply_block(*args))
+        block_steps = [step for step in grid._compile(spec, circuit) if is_block(step)]
+        # a key holds table ids, which differ between two lowerings
+        assert [block[:7] for block, _ in block_steps] == [block[:7] for block in blocks]
+        assert len({id(matrices) for _, matrices in block_steps}) == 3
         state = prepare_gaussian(spec, [1.0, 0.5, 0.0, 0.0], 0.5 * np.eye(4))
         planned = apply_sequence(state, circuit)
-        monkeypatch.undo()
-        assert len(built) == 3
-        assert [block[:7] for block in applied] == [block[:7] for block in blocks]
         assert relative_deviation(planned, uncomposed(state, circuit)) <= 1e-12
+
+    def test_plan_arrays_freed_by_reference_counting(self):
+        # a reference cycle would hold the block matrices and run products
+        # (48 MB on the benchmark's coupled run) until the cycle collector runs
+        spec = GridSpec(num_modes=3, points_per_mode=16, half_extent=8.0)
+        gc.disable()
+        try:
+            steps = grid._compile(spec, HOISTED_TRANSPOSED)
+            assert any(is_block(step) for step in steps)
+            refs = [weakref.ref(step[1] if is_block(step) else step) for step in steps
+                    if is_block(step) or isinstance(step, np.ndarray)]
+            del steps
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "hamiltonian,points,half_extent,t,steps,order",
