@@ -157,11 +157,14 @@ def _write_text(path: Path, text: str) -> None:
             handle.write(text[start:start + 2 ** 20])
 
 
-def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
+def _make_output_dir(out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"outputs: cannot create the directory {out_dir}: {exc}") from exc
+
+
+def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
     _write_text(out_dir / "density.csv", density_to_csv(result.density))
     _write_text(out_dir / "moments.csv",
                 moments_to_csv(result.mean, result.cov, result.metrics))
@@ -170,13 +173,15 @@ def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
 
 
 def _evolve(args) -> tuple[ExperimentConfig, EvolutionResult]:
-    """Load the config, apply the command-line overrides, evolve, write the CSVs."""
+    """Load the config, apply the command-line overrides, make the output
+    directory, evolve, write the CSVs."""
     config = load_config(args.config)
     if args.out:
         config.outputs = Path(args.out)
     if args.backend:
         check_backend(args.backend, config.kvn)
         config.backend = args.backend
+    _make_output_dir(config.outputs)
     result = _run_evolution(config)
     _write_outputs(result, config.outputs)
     return config, result

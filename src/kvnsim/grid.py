@@ -63,7 +63,15 @@ steps, so the work of a plan can be counted without running it:
    replace 1,480 of the 1,604 transforms on the state, and 3 builds take
    74 transforms; the state moves by about 1e-14 relative. The 2-axis
    product formulas repeat only blocks of at most 3 transforms, below the
-   bar for N >= 32, so their plans run as before, bit for bit.
+   bar for N >= 32, so their plans run as before, bit for bit;
+6. when the process may run on more than one CPU and the state holds at
+   least SLAB_FLOOR points, each stretch of two or more transforms and
+   multiplies between composed blocks runs as one slab step: the state is
+   cut into two halves along an axis the stretch never transforms, and
+   the calling thread and one worker thread each run the stretch on one
+   half, with the tables sliced to it. Every 1-D transform and every
+   multiply touches only its own half, so slab execution is bitwise equal
+   to serial execution; composed blocks stay serial.
 
 Fusion, basis tracking, run products and composed blocks change results
 by roundoff only (about 1e-13 relative against gate-by-gate execution) and
@@ -71,10 +79,12 @@ never change the synthesized circuit itself. A plan runs on a copy of the
 caller's state, which is never written. A state that is not finite after
 a plan raises BlowUpError.
 
-``scipy.fft`` is imported inside ``_fft`` and ``_ifft``, on the first
-transform, so loading this module costs no scipy import (about 0.3 s,
-mostly ``scipy.special``) and a command that runs no transform never pays
-it; momenta come from ``np.fft.fftfreq``, bitwise equal to scipy's.
+Transforms are numpy's, written in place with ``out=`` so that a slab
+transforms its own half of the state and nothing else; they release the
+GIL, which lets the two slabs run at once. This module imports no scipy:
+numpy's FFT is bitwise equal to ``scipy.fft`` at N = 16, 64, 256 and
+1024 and within about 2e-16 relative at N = 32 and 128, and momenta come
+from ``np.fft.fftfreq``, bitwise equal to scipy's.
 
 The grid is an emulation device: extent and resolution are engineering
 choices, not part of the compiled circuits.
@@ -83,6 +93,7 @@ choices, not part of the compiled circuits.
 from __future__ import annotations
 
 import functools
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -97,6 +108,9 @@ MEMORY_CAP_BYTES = 2 * 1024 ** 3
 MAX_MODES = 4
 # Width, in cells, of the face layer whose mass ``boundary_mass`` reports.
 BOUNDARY_CELLS = 2
+# Plans on fewer grid points run in one thread: handing half of a stretch
+# to the worker costs tens of microseconds.
+SLAB_FLOOR = 2 ** 14
 
 
 class BlowUpError(RuntimeError):
@@ -305,15 +319,14 @@ class _Op(NamedTuple):
 
 
 def _fft(psi: np.ndarray, axis: int) -> np.ndarray:
-    import scipy.fft as sfft  # lazily: see the module docstring
-
-    return sfft.fft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
+    """The unitary FFT of one axis, written into psi (which may be a view);
+    returns psi."""
+    return np.fft.fft(psi, axis=axis, norm="ortho", out=psi)
 
 
 def _ifft(psi: np.ndarray, axis: int) -> np.ndarray:
-    import scipy.fft as sfft
-
-    return sfft.ifft(psi, axis=axis, norm="ortho", workers=-1, overwrite_x=True)
+    """The unitary inverse FFT of one axis, written into psi; returns psi."""
+    return np.fft.ifft(psi, axis=axis, norm="ortho", out=psi)
 
 
 def fuse_gates(gates: Iterable[Gate]) -> list[Gate]:
@@ -507,7 +520,6 @@ def _block_matrices(spec: GridSpec, block: _Block, steps: list) -> np.ndarray:
     # column index on the first untouched axis, the others of length one.
     labels = fixed + [k] + untouched
     view = matrices.reshape(matrices.shape + (1,) * (len(untouched) - 1))
-    # scipy transforms the aligned complex view in place
     _execute(steps, view.transpose(np.argsort(labels)))
     return matrices
 
@@ -616,23 +628,126 @@ def _compile(spec: GridSpec, gates: Iterable[Gate]) -> list:
     return steps + [(axis, False) for axis, momentum in enumerate(in_momentum) if momentum]
 
 
-def _execute(steps: Sequence, psi: np.ndarray) -> np.ndarray:
-    """Run compiled steps on psi, in place where the transforms allow, and
-    return the result."""
+class _Slab(NamedTuple):
+    """A stretch of transforms and multiplies that never transforms
+    ``axis``, run on the two halves of that axis at once: ``parts[i]`` is
+    the stretch with every table that spans ``axis`` sliced to half i."""
+
+    axis: int
+    parts: tuple[list, list]
+
+
+def _slabs(spec: GridSpec, steps: list) -> list:
+    """The steps with each stretch of two or more transforms and multiplies
+    made one slab step; a plan on fewer than SLAB_FLOOR points is returned
+    as it is.
+
+    A stretch ends before a composed block, which runs serially in BLAS,
+    and before a transform of its slab axis. That axis is axis 0, unless
+    the stretch's first transform is on axis 0; then it is axis 1. Every
+    transform and multiply of a slab step touches only its own half, so
+    the result is bitwise that of the serial steps.
+    """
+    if spec.points_per_mode ** spec.num_modes < SLAB_FLOOR:
+        return steps
+    out: list = []
+    stretch: list = []
+    axis = None  # the stretch's slab axis, set by its first transform
+    for step in steps:
+        if isinstance(step, np.ndarray):
+            stretch.append(step)
+            continue
+        block = isinstance(step[0], _Block)
+        if block or step[0] == axis:
+            out += _as_slab(spec, stretch, axis)
+            stretch, axis = [], None
+        if block:
+            out.append(step)
+            continue
+        if axis is None:
+            axis = 1 if step[0] == 0 else 0
+        stretch.append(step)
+    return out + _as_slab(spec, stretch, axis)
+
+
+def _as_slab(spec: GridSpec, stretch: list, axis: int | None) -> list:
+    """One stretch as a slab step along ``axis`` (axis 0 when it has no
+    transform); a stretch of one step, or with no such axis, runs whole."""
+    axis = axis or 0
+    if len(stretch) < 2 or axis >= spec.num_modes:
+        return stretch
+    half = spec.points_per_mode // 2
+    parts = []
+    for start in (0, half):
+        index = (slice(None),) * axis + (slice(start, start + half),)
+        # views: a table of length one on the axis serves both halves
+        parts.append([step[index] if isinstance(step, np.ndarray) and step.shape[axis] > 1
+                      else step for step in stretch])
+    return [_Slab(axis, tuple(parts))]
+
+
+@functools.cache
+def _worker(pid: int):
+    """The one thread that runs the second half of every slab step in
+    process ``pid``: a child forked after the first slab step inherits the
+    pool but not its thread, so it makes its own. The pool is made on the
+    first slab step, so loading this module imports no concurrent.futures
+    and a command that runs no plan starts no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="kvnsim-slab")
+
+
+def _execute_in(errstate: dict, steps: Sequence, psi: np.ndarray) -> None:
+    # numpy keeps its floating-point error state per thread (per context),
+    # so the worker takes the caller's
+    with np.errstate(**errstate):
+        _execute(steps, psi)
+
+
+def _run_slab(slab: _Slab, psi: np.ndarray) -> None:
+    """Run a slab step's parts at once: the first half in the calling
+    thread, the second in the worker. numpy's transforms and multiplies
+    release the GIL."""
+    half = psi.shape[slab.axis] // 2
+    lower, upper = (psi[(slice(None),) * slab.axis + (slice(start, start + half),)]
+                    for start in (0, half))
+    done = _worker(os.getpid()).submit(_execute_in, np.geterr(), slab.parts[1], upper)
+    try:
+        _execute(slab.parts[0], lower)
+    finally:
+        done.result()
+
+
+def _execute(steps: Sequence, psi: np.ndarray) -> None:
+    """Run compiled steps on psi in place."""
     for step in steps:
         if isinstance(step, np.ndarray):
             psi *= step
+        elif isinstance(step, _Slab):
+            _run_slab(step, psi)
         elif isinstance(step[0], _Block):
             _apply_block(psi, step[1], step[0])
         else:
             axis, momentum = step
-            psi = _fft(psi, axis) if momentum else _ifft(psi, axis)
-    return psi
+            (_fft if momentum else _ifft)(psi, axis)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
-    """Compile a gate list and execute its steps on a copy of the state."""
-    psi = _execute(_compile(state.spec, gates), state.psi.copy())
+    """Compile a gate list and execute its steps on a copy of the state, in
+    two slabs at once when the process has more than one CPU."""
+    steps = _compile(state.spec, gates)
+    if _cpus() > 1:
+        steps = _slabs(state.spec, steps)
+    psi = state.psi.copy()
+    _execute(steps, psi)
     if not np.isfinite(psi).all():
         raise BlowUpError("grid state has non-finite amplitudes")
     return GridState(state.spec, psi)
@@ -675,16 +790,15 @@ def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridSta
         )
     axes = [spec.axis_view(spec.positions(), i) for i in range(spec.num_modes)]
     p = spec.axis_view(spec.momenta_fft_order(), term.mode)
-    # The factor spans only the axes it reads; the one full-size complex
-    # array is its product with p, exponentiated in place before the state
-    # is copied.
-    phase = np.empty(spec.shape, dtype=complex)
-    np.multiply(-1j * s * (term.sign * term.factor.evaluate_array(axes)), p, out=phase)
-    np.exp(phase, out=phase)
+    # The factor spans only the axes it reads. The phase is built one index
+    # of axis 0 at a time, from read-only full-shape views of its two
+    # factors, so no full-size phase ever exists beside the state's copy.
+    g = np.broadcast_to(-1j * s * (term.sign * term.factor.evaluate_array(axes)), spec.shape)
+    p = np.broadcast_to(p, spec.shape)
     psi = _fft(state.psi.copy(), term.mode)
-    psi *= phase
-    psi = _ifft(psi, term.mode)
-    return GridState(spec, psi)
+    for i in range(spec.points_per_mode):
+        psi[i] *= np.exp(g[i] * p[i])
+    return GridState(spec, _ifft(psi, term.mode))
 
 
 # -- measurements and exports ------------------------------------------------

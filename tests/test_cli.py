@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvnsim import cli
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, config_from_dict, load_config
 from kvnsim.grid import MEMORY_CAP_BYTES, GridSpec, apply_sequence, born_density, prepare_gaussian
@@ -218,6 +219,13 @@ class TestExitCodes:
             # each bounded by the memory cap before anything is allocated
             ({"evolution": {"n_steps": 10**30}}, "evolution.n_steps"),
             ({"sampling": {"num_samples": 10**30}}, "sampling.num_samples"),
+            # finite t whose gate strengths overflow: t / n_steps times 10 * 2
+            (
+                {"hamiltonian": {"H": "1/2 * x2^2 + 1/2 * x1^2 + 10 * x1^4"},
+                 "evolution": {"t": 1e308, "n_steps": 1}, "grid": {"points_per_mode": 16}},
+                "evolution.t",
+            ),
+            ({"hamiltonian": {"H": f"1/2 * x2^2 + 1{'0' * 400} * x1^4"}}, "hamiltonian.H"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, overrides, field):
@@ -246,15 +254,20 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=f"^{field}: .* memory cap"):
             config_from_dict(data)
 
-    def test_output_directory_under_a_file_exit_code(self, tmp_path, capsys):
+    def test_output_directory_under_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "file").write_text("")
         cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
                            evolution={"n_steps": 2}, outputs=str(tmp_path / "file" / "out"))
+        evolved = []
+        run = cli._run_evolution
+        monkeypatch.setattr(cli, "_run_evolution", lambda config: evolved.append(1) or run(config))
         code = main(["evolve", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 2
         assert "config error: outputs:" in err
         assert "Traceback" not in err
+        # the directory is checked before any evolution runs
+        assert evolved == []
 
     def test_gaussian_backend_override_needs_quadratic_generator(self, tmp_path, capsys):
         code = main([
@@ -271,25 +284,42 @@ class TestExitCodes:
         assert "FAIL" not in out
 
 
+def run_fresh(argv: list[str], absent: str) -> None:
+    """Run the CLI in a fresh process, so no other test's imports count, and
+    check that no module named ``absent`` or under it was loaded."""
+    code = (
+        "import sys\n"
+        "from kvnsim.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"loaded = sorted(m for m in sys.modules if m.split('.')[0] == {absent.split('.')[0]!r})\n"
+        f"assert {absent!r} not in loaded, loaded\n"
+        "sys.exit(code)\n"
+    )
+    paths = [str(QUARTIC_CONFIG.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+
+
 class TestImports:
     @pytest.mark.parametrize(
         "argv", [["identities"], ["synth", "--config", str(QUARTIC_CONFIG)]]
     )
     def test_command_without_transforms_loads_no_scipy(self, argv):
-        # a fresh process, so no other test's imports count
-        code = (
-            "import sys\n"
-            "from kvnsim.cli import main\n"
-            f"code = main({argv!r})\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-            "sys.exit(code)\n"
-        )
-        paths = [str(QUARTIC_CONFIG.parent.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert done.returncode == 0, done.stderr
+        run_fresh(argv, "scipy")
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_grid_command_loads_no_scipy(self, tmp_path, command):
+        # 128^2 points: the plan runs slab steps on a machine with two CPUs
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 128},
+                           evolution={"n_steps": 10})
+        run_fresh([command, "--config", str(cfg), "--out", str(tmp_path / "v")], "scipy")
+        assert (tmp_path / "v" / "density.csv").exists()
+
+    def test_identities_starts_no_thread_pool(self):
+        run_fresh(["identities"], "concurrent.futures")
 
 
 class TestEvolve:

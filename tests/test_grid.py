@@ -1,5 +1,7 @@
 import gc
 import os
+import signal
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -622,7 +624,11 @@ class TestCompiledPlan:
             config = load_config(CONFIGS / f"{name}.json")
             spec = config.spec
             circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
-        assert step_counts(grid._compile(spec, circuit)) == counts
+        steps = grid._compile(spec, circuit)
+        assert step_counts(steps) == counts
+        slabbed = grid._slabs(spec, steps)
+        assert any(isinstance(step, grid._Slab) for step in slabbed)
+        assert step_counts(slabbed) == counts
 
     def test_fusion_rules(self):
         cx = Gate(GateKind.CONTROLLED_X, (0, 1), 0.25)
@@ -726,9 +732,24 @@ def is_block(step) -> bool:
     return isinstance(step, tuple) and isinstance(step[0], grid._Block)
 
 
+def serial_steps(steps) -> list:
+    """A plan's steps with each slab step replaced by its first part, whose
+    steps are those of the stretch it runs."""
+    flat = []
+    for step in steps:
+        if isinstance(step, grid._Slab):
+            lower, upper = step.parts
+            assert [type(s) for s in lower] == [type(s) for s in upper]
+            flat += lower
+        else:
+            flat.append(step)
+    return flat
+
+
 def step_counts(steps) -> tuple[int, int, int, int]:
-    """Transforms, multiplies and block steps of a compiled plan, and the
-    number of distinct block matrices."""
+    """Transforms, multiplies and block steps of a compiled plan, counted
+    through its slab steps, and the number of distinct block matrices."""
+    steps = serial_steps(steps)
     blocks = [step for step in steps if is_block(step)]
     multiplies = sum(isinstance(step, np.ndarray) for step in steps)
     return (len(steps) - multiplies - len(blocks), multiplies, len(blocks),
@@ -891,3 +912,152 @@ class TestComposedBlocks:
         outputs += [apply_gate(state, gate) for gate in seq]
         assert np.array_equal(state.psi, before)
         assert all(not np.shares_memory(out.psi, state.psi) for out in outputs)
+
+
+def shipped_plan(name: str, n_steps: int | None = None):
+    """Spec, initial state and circuit of a shipped config, or of COUPLED4
+    on 16 points per mode, optionally with fewer steps."""
+    if name == "coupled4":
+        spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
+        state = prepare_gaussian(spec, [1.0, 0.5, 0.0, 0.0], 0.5 * np.eye(4))
+        return spec, state, trotter_circuit(kvn_of(COUPLED4_H, 2), 1.0, n_steps or 20, 2)
+    config = load_config(CONFIGS / f"{name}.json")
+    state = prepare_gaussian(config.spec, config.mean, config.covariance)
+    circuit = trotter_circuit(config.kvn, config.t, n_steps or config.n_steps, config.order)
+    return config.spec, state, circuit
+
+
+def scipy_per_op(state: GridState, seq: GateSequence) -> np.ndarray:
+    """Gate by gate and op by op, each op transforming its momentum axes
+    there and back with scipy.fft: the slow path the plan replaces."""
+    import scipy.fft
+
+    psi = state.psi.copy()
+    for gate in seq:
+        for needs, table in grid._lower(state.spec, gate):
+            axes = [axis for axis, momentum in needs if momentum]
+            psi = scipy.fft.fftn(psi, axes=axes, norm="ortho") if axes else psi
+            psi = psi * table
+            psi = scipy.fft.ifftn(psi, axes=axes, norm="ortho") if axes else psi
+    return psi
+
+
+class TestSlabs:
+    """A stretch of transforms and multiplies runs on two halves of an
+    axis it never transforms, one in a worker thread; every 1-D transform
+    and multiply stays within its half, so the result is bitwise that of
+    serial execution."""
+
+    @pytest.mark.parametrize("name,n_steps", [("quartic", 20), ("harmonic", None),
+                                              ("coupled4", 4)])
+    def test_slab_execution_equals_serial_bitwise(self, name, n_steps):
+        spec, state, circuit = shipped_plan(name, n_steps)
+        steps = grid._compile(spec, circuit)
+        slabbed = grid._slabs(spec, steps)
+        slabs = [step for step in slabbed if isinstance(step, grid._Slab)]
+        assert slabs
+        for slab in slabs:
+            # the slab axis is never transformed inside its own stretch
+            assert all(step[0] != slab.axis for step in slab.parts[0]
+                       if not isinstance(step, np.ndarray))
+            # sliced tables are views of the compiled ones
+            assert all(step.base is not None for step in slab.parts[1]
+                       if isinstance(step, np.ndarray) and step.shape[slab.axis] > 1)
+        serial, parallel = state.psi.copy(), state.psi.copy()
+        grid._execute(steps, serial)
+        grid._execute(slabbed, parallel)
+        assert np.array_equal(parallel, serial)
+        assert np.array_equal(apply_sequence(state, circuit).psi, serial)
+
+    def test_stretch_boundaries(self):
+        spec = GridSpec(num_modes=3, points_per_mode=32, half_extent=8.0)
+        a, b = np.ones((32, 1, 1), complex), np.ones((1, 32, 32), complex)
+        steps = [a, (1, True), b, (2, True), a, (1, False),  # slab axis 0
+                 (0, True), b, (0, False),                    # axis 0: slab axis 1
+                 (1, True), b]                                # axis 1 ends it
+        slabbed = grid._slabs(spec, steps)
+        assert [(step.axis, len(step.parts[0])) for step in slabbed] == [(0, 6), (1, 3), (0, 2)]
+        assert slabbed[0].parts[0][0].shape == (16, 1, 1)
+        assert slabbed[1].parts[1][1].shape == (1, 16, 32)
+        # a block ends a stretch and runs whole, as does a stretch of one
+        block = (grid._Block(0, 0, 0, False, False, 0, (), ()), np.eye(32))
+        assert grid._slabs(spec, [(1, True), block, a]) == [(1, True), block, a]
+        small = GridSpec(num_modes=2, points_per_mode=64, half_extent=8.0)
+        assert 64 ** 2 < grid.SLAB_FLOOR
+        assert grid._slabs(small, steps) is steps
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_numpy_transforms_match_scipy(self, n):
+        import scipy.fft
+
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+        views = [(slice(None), slice(None)), (slice(None), slice(n, None)),
+                 (slice(None), slice(None, None, 2)), (slice(n // 2, None), slice(None))]
+        for index in views:
+            for axis in (0, 1):
+                for ours, theirs in ((grid._fft, scipy.fft.fft), (grid._ifft, scipy.fft.ifft)):
+                    psi = base.copy()
+                    view = psi[index]
+                    expected = theirs(view, axis=axis, norm="ortho")
+                    out = ours(view, axis)
+                    assert out is view  # written in place, through the view
+                    assert np.abs(view - expected).max() <= 1e-15 * np.abs(expected).max()
+                    outside = np.ones(base.shape, bool)
+                    outside[index] = False
+                    assert np.array_equal(psi[outside], base[outside])
+
+    @pytest.mark.parametrize("name,n_steps", [("harmonic", None), ("coupled4", 4)])
+    def test_final_state_matches_scipy_per_op(self, name, n_steps):
+        spec, state, circuit = shipped_plan(name, n_steps)
+        planned = apply_sequence(state, circuit)
+        reference = GridState(spec, scipy_per_op(state, circuit))
+        assert relative_deviation(planned, reference) <= 1e-12
+
+    @pytest.mark.parametrize("errors", ["ignore", "raise"])
+    def test_worker_runs_under_callers_errstate(self, errors):
+        # the non-finite cell lies in the upper half of both axes, which the
+        # worker runs; numpy's error state is per thread
+        spec = GridSpec(num_modes=2, points_per_mode=256, half_extent=8.0)
+        assert 256 ** 2 > grid.SLAB_FLOOR
+        psi = prepare_gaussian(spec, [0.0, 0.0], 0.5 * np.eye(2)).psi
+        psi[200, 200] = np.inf
+        seq = GateSequence(2, (Gate(GateKind.CONTROLLED_X, (0, 1), 0.3),))
+        steps = grid._slabs(spec, grid._compile(spec, seq))
+        assert [type(step) for step in steps] == [grid._Slab]
+        with np.errstate(invalid=errors):
+            if errors == "raise":
+                with pytest.raises(FloatingPointError):
+                    grid._execute(steps, psi)
+            else:
+                grid._execute(steps, psi)
+                assert not np.isfinite(psi[128:]).all() and np.isfinite(psi[:128]).all()
+                with pytest.raises(BlowUpError, match="non-finite"):
+                    apply_sequence(GridState(spec, psi), seq)
+
+    def test_forked_child_makes_its_own_worker(self):
+        # the parent's pool is inherited without its thread; a child that
+        # submitted to it would wait forever
+        spec = GridSpec(num_modes=2, points_per_mode=128, half_extent=8.0)
+        psi = prepare_gaussian(spec, [0.0, 0.0], 0.5 * np.eye(2)).psi
+        seq = GateSequence(2, (Gate(GateKind.CONTROLLED_X, (0, 1), 0.3),))
+        steps = grid._slabs(spec, grid._compile(spec, seq))
+        grid._execute(steps, psi.copy())
+        with warnings.catch_warnings():
+            # Python 3.12 warns when a process with threads forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                grid._execute(steps, psi.copy())
+                os._exit(0)
+            finally:
+                os._exit(1)
+        deadline = time.monotonic() + 60.0
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on its first slab step")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
