@@ -212,16 +212,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     order = _read(data, "evolution.order", _integer, 1)
     if order not in (1, 2):
         raise ConfigError("evolution.order: must be 1 or 2")
-    # One step of the run's own length: building it checks that every gate
-    # strength (t / n_steps times a term's coefficients) is finite, and the
-    # circuit holds one 8-byte reference per gate of each step.
+    # The circuit holds one 8-byte reference per gate; a step's gate count
+    # does not depend on its length.
     try:
-        per_step = len(trotter_circuit(kvn, t / n_steps, 1, order))
-    except ValueError as exc:
-        raise ConfigError(
-            f"evolution.t: t / n_steps = {t / n_steps!r} makes a gate strength "
-            f"non-finite ({exc})"
-        ) from exc
+        per_step = len(trotter_circuit(kvn, 1.0, 1, order))
     except OverflowError as exc:  # a coefficient beyond the float range
         raise ConfigError(f"hamiltonian.H: a KvN coefficient is too large ({exc})") from exc
     if 8 * per_step * n_steps > MEMORY_CAP_BYTES:
@@ -229,6 +223,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"evolution.n_steps: {n_steps} steps of {per_step} gates exceed the "
             f"memory cap of {MEMORY_CAP_BYTES} bytes at 8 bytes per gate"
         )
+    # Building one step of the run's own length checks that every gate
+    # strength (t / n_steps times a term's coefficients) is finite; n_steps
+    # is bounded above whenever there are gates, so t / n_steps is a float.
+    if per_step:
+        try:
+            trotter_circuit(kvn, t / n_steps, 1, order)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"evolution.t: t / n_steps = {t / n_steps!r} makes a gate strength "
+                f"non-finite ({exc})"
+            ) from exc
 
     backend = _read(data, "backend", _string, "grid")
     check_backend(backend, kvn)

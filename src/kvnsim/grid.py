@@ -64,14 +64,14 @@ steps, so the work of a plan can be counted without running it:
    74 transforms; the state moves by about 1e-14 relative. The 2-axis
    product formulas repeat only blocks of at most 3 transforms, below the
    bar for N >= 32, so their plans run as before, bit for bit;
-6. when the process may run on more than one CPU and the state holds at
-   least SLAB_FLOOR points, each stretch of two or more transforms and
-   multiplies between composed blocks runs as one slab step: the state is
-   cut into two halves along an axis the stretch never transforms, and
-   the calling thread and one worker thread each run the stretch on one
-   half, with the tables sliced to it. Every 1-D transform and every
-   multiply touches only its own half, so slab execution is bitwise equal
-   to serial execution; composed blocks stay serial.
+6. when the process may run on more than one CPU, each stretch of
+   transforms and multiplies between composed blocks whose work (grid
+   points times steps) reaches SLAB_MIN_WORK runs as one slab step: the
+   state is cut into two halves along an axis the stretch never
+   transforms, and the calling thread and one worker thread each run the
+   stretch on one half, with the tables sliced to it. Every 1-D transform
+   and every multiply touches only its own half, so slab execution is
+   bitwise equal to serial execution; composed blocks stay serial.
 
 Fusion, basis tracking, run products and composed blocks change results
 by roundoff only (about 1e-13 relative against gate-by-gate execution) and
@@ -108,9 +108,12 @@ MEMORY_CAP_BYTES = 2 * 1024 ** 3
 MAX_MODES = 4
 # Width, in cells, of the face layer whose mass ``boundary_mass`` reports.
 BOUNDARY_CELLS = 2
-# Plans on fewer grid points run in one thread: handing half of a stretch
-# to the worker costs tens of microseconds.
-SLAB_FLOOR = 2 ** 14
+# A stretch runs as two slabs only when its work, grid points times steps,
+# reaches this. Whole shipped-style plans on 2 vCPUs, slabbed and serial
+# in alternating pairs: slabs lost on 64^2 plans (56-step stretches, work
+# 229,376) and 16^4 ones (at most 8 steps, 524,288), and won on 128^2
+# (56 steps, 917,504), 256^2, 512^2 and 32^4 plans.
+SLAB_MIN_WORK = 3 * 2 ** 18
 
 
 class BlowUpError(RuntimeError):
@@ -638,9 +641,8 @@ class _Slab(NamedTuple):
 
 
 def _slabs(spec: GridSpec, steps: list) -> list:
-    """The steps with each stretch of two or more transforms and multiplies
-    made one slab step; a plan on fewer than SLAB_FLOOR points is returned
-    as it is.
+    """The steps with each stretch of transforms and multiplies whose work
+    reaches SLAB_MIN_WORK made one slab step.
 
     A stretch ends before a composed block, which runs serially in BLAS,
     and before a transform of its slab axis. That axis is axis 0, unless
@@ -648,8 +650,6 @@ def _slabs(spec: GridSpec, steps: list) -> list:
     transform and multiply of a slab step touches only its own half, so
     the result is bitwise that of the serial steps.
     """
-    if spec.points_per_mode ** spec.num_modes < SLAB_FLOOR:
-        return steps
     out: list = []
     stretch: list = []
     axis = None  # the stretch's slab axis, set by its first transform
@@ -672,9 +672,11 @@ def _slabs(spec: GridSpec, steps: list) -> list:
 
 def _as_slab(spec: GridSpec, stretch: list, axis: int | None) -> list:
     """One stretch as a slab step along ``axis`` (axis 0 when it has no
-    transform); a stretch of one step, or with no such axis, runs whole."""
+    transform); a stretch whose work, grid points times steps, is below
+    SLAB_MIN_WORK, or with no such axis, runs whole."""
     axis = axis or 0
-    if len(stretch) < 2 or axis >= spec.num_modes:
+    work = len(stretch) * spec.points_per_mode ** spec.num_modes
+    if work < SLAB_MIN_WORK or axis >= spec.num_modes:
         return stretch
     half = spec.points_per_mode // 2
     parts = []

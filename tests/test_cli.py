@@ -226,6 +226,10 @@ class TestExitCodes:
                 "evolution.t",
             ),
             ({"hamiltonian": {"H": f"1/2 * x2^2 + 1{'0' * 400} * x1^4"}}, "hamiltonian.H"),
+            # a step length that rounds to 0.0, and one count beyond the
+            # float range, still meet the n_steps bound
+            ({"evolution": {"t": 1e-300, "n_steps": 10**30}}, "evolution.n_steps"),
+            ({"evolution": {"n_steps": 10**400}}, "evolution.n_steps"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, overrides, field):

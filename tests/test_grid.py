@@ -615,7 +615,7 @@ class TestCompiledPlan:
         [("quartic", (6402, 6401, 0, 0)), ("harmonic", (802, 401, 0, 0)),
          ("coupled4", (124, 101, 60, 3))],
     )
-    def test_step_counts(self, name, counts):
+    def test_step_counts(self, name, counts, every_stretch):
         # (transforms, multiplies, block steps, distinct block matrices)
         if name == "coupled4":
             spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
@@ -629,6 +629,22 @@ class TestCompiledPlan:
         slabbed = grid._slabs(spec, steps)
         assert any(isinstance(step, grid._Slab) for step in slabbed)
         assert step_counts(slabbed) == counts
+
+    def test_slab_work_threshold(self):
+        # a stretch is slabbed when its grid points times steps reach
+        # SLAB_MIN_WORK, and runs whole below that
+        spec = GridSpec(num_modes=2, points_per_mode=256, half_extent=8.0)
+        length = -(-grid.SLAB_MIN_WORK // 256 ** 2)
+        stretch = [np.ones((1, 256), complex), (1, True)] * length
+        assert [type(step) for step in grid._slabs(spec, stretch[:length])] == [grid._Slab]
+        below = stretch[:length - 1]
+        assert all(x is y for x, y in zip(grid._slabs(spec, below), below, strict=True))
+        # of the shipped-style plans, only quartic's 56-step stretches qualify
+        for name, lengths in (("quartic", {56}), ("harmonic", set()), ("coupled4", set())):
+            spec, _, circuit = shipped_plan(name, 2)
+            slabbed = grid._slabs(spec, grid._compile(spec, circuit))
+            assert {len(step.parts[0]) for step in slabbed
+                    if isinstance(step, grid._Slab)} == lengths
 
     def test_fusion_rules(self):
         cx = Gate(GateKind.CONTROLLED_X, (0, 1), 0.25)
@@ -914,6 +930,13 @@ class TestComposedBlocks:
         assert all(not np.shares_memory(out.psi, state.psi) for out in outputs)
 
 
+@pytest.fixture
+def every_stretch(monkeypatch):
+    """Slab every nonempty stretch, whatever its work, so that small plans
+    exercise slab execution."""
+    monkeypatch.setattr(grid, "SLAB_MIN_WORK", 1)
+
+
 def shipped_plan(name: str, n_steps: int | None = None):
     """Spec, initial state and circuit of a shipped config, or of COUPLED4
     on 16 points per mode, optionally with fewer steps."""
@@ -942,11 +965,12 @@ def scipy_per_op(state: GridState, seq: GateSequence) -> np.ndarray:
     return psi
 
 
+@pytest.mark.usefixtures("every_stretch")
 class TestSlabs:
     """A stretch of transforms and multiplies runs on two halves of an
     axis it never transforms, one in a worker thread; every 1-D transform
     and multiply stays within its half, so the result is bitwise that of
-    serial execution."""
+    serial execution. Every stretch is slabbed here, whatever its work."""
 
     @pytest.mark.parametrize("name,n_steps", [("quartic", 20), ("harmonic", None),
                                               ("coupled4", 4)])
@@ -979,12 +1003,11 @@ class TestSlabs:
         assert [(step.axis, len(step.parts[0])) for step in slabbed] == [(0, 6), (1, 3), (0, 2)]
         assert slabbed[0].parts[0][0].shape == (16, 1, 1)
         assert slabbed[1].parts[1][1].shape == (1, 16, 32)
-        # a block ends a stretch and runs whole, as does a stretch of one
+        # a block ends a stretch and runs whole
         block = (grid._Block(0, 0, 0, False, False, 0, (), ()), np.eye(32))
-        assert grid._slabs(spec, [(1, True), block, a]) == [(1, True), block, a]
-        small = GridSpec(num_modes=2, points_per_mode=64, half_extent=8.0)
-        assert 64 ** 2 < grid.SLAB_FLOOR
-        assert grid._slabs(small, steps) is steps
+        slabbed = grid._slabs(spec, [(1, True), block, a])
+        assert [type(step) for step in slabbed] == [grid._Slab, tuple, grid._Slab]
+        assert slabbed[1] is block
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     def test_numpy_transforms_match_scipy(self, n):
@@ -1019,7 +1042,6 @@ class TestSlabs:
         # the non-finite cell lies in the upper half of both axes, which the
         # worker runs; numpy's error state is per thread
         spec = GridSpec(num_modes=2, points_per_mode=256, half_extent=8.0)
-        assert 256 ** 2 > grid.SLAB_FLOOR
         psi = prepare_gaussian(spec, [0.0, 0.0], 0.5 * np.eye(2)).psi
         psi[200, 200] = np.inf
         seq = GateSequence(2, (Gate(GateKind.CONTROLLED_X, (0, 1), 0.3),))
