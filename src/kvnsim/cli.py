@@ -32,6 +32,7 @@ from .expansion import admissible_exponent_triples
 from .gaussian import GaussianState, evolve_gaussian
 from .grid import (
     DensityGrid,
+    GridSpecError,
     apply_sequence,
     born_density,
     boundary_mass,
@@ -135,7 +136,10 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
             rng = np.random.default_rng(config.seed)
             samples = rng.multivariate_normal(mean, cov, size=config.num_samples)
     else:
-        state = prepare_gaussian(spec, config.mean, config.covariance)
+        try:
+            state = prepare_gaussian(spec, config.mean, config.covariance)
+        except GridSpecError as exc:
+            raise ConfigError.from_grid(exc) from exc
         circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
         evolved = apply_sequence(state, circuit)
         density = born_density(evolved)

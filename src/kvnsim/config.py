@@ -45,6 +45,11 @@ _GRID_FIELDS = {
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
+    @classmethod
+    def from_grid(cls, exc: GridSpecError) -> ConfigError:
+        """The error of a GridSpecError, naming the config field behind it."""
+        return cls(f"{_GRID_FIELDS[exc.param]}: {exc}")
+
 
 @dataclass
 class VerifyThresholds:
@@ -203,7 +208,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
         check_gaussian(spec, mean, cov)
     except GridSpecError as exc:
-        raise ConfigError(f"{_GRID_FIELDS[exc.param]}: {exc}") from exc
+        raise ConfigError.from_grid(exc) from exc
 
     t = _read(data, "evolution.t", _number)
     n_steps = _read(data, "evolution.n_steps", _integer, 100)
@@ -276,6 +281,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -42,12 +42,7 @@ steps, so the work of a plan can be counted without running it:
 3. the compiler tracks the basis of every axis and transforms an axis
    only when the next op needs the other basis, so consecutive ops in the
    momentum of one axis share one FFT pair; every axis ends in position;
-4. the tables of consecutive ops between two basis changes multiply the
-   state once, by their product, which is built once per call and reused
-   every time the plan repeats that run (every Trotter step). A run also
-   ends before its product would span every axis, so a cached product is
-   at most 1/N of the state;
-5. a single-axis block -- a maximal stretch of ops in which only one axis
+4. a single-axis block -- a maximal stretch of ops in which only one axis
    k changes basis, every other axis it touches keeps one basis, and at
    least one axis stays untouched -- acts on k as one N x N matrix per
    fiber of its other touched axes, the same for every index of the
@@ -64,7 +59,7 @@ steps, so the work of a plan can be counted without running it:
    74 transforms; the state moves by about 1e-14 relative. The 2-axis
    product formulas repeat only blocks of at most 3 transforms, below the
    bar for N >= 32, so their plans run as before, bit for bit;
-6. when the process may run on more than one CPU, each stretch of
+5. when the process may run on more than one CPU, each stretch of
    transforms and multiplies between composed blocks whose work (grid
    points times steps) reaches SLAB_MIN_WORK runs as one slab step: the
    state is cut into two halves along an axis the stretch never
@@ -73,9 +68,9 @@ steps, so the work of a plan can be counted without running it:
    and every multiply touches only its own half, so slab execution is
    bitwise equal to serial execution; composed blocks stay serial.
 
-Fusion, basis tracking, run products and composed blocks change results
-by roundoff only (about 1e-13 relative against gate-by-gate execution) and
-never change the synthesized circuit itself. A plan runs on a copy of the
+Fusion, basis tracking and composed blocks change results by roundoff
+only (about 1e-13 relative against gate-by-gate execution) and never
+change the synthesized circuit itself. A plan runs on a copy of the
 caller's state, which is never written. A state that is not finite after
 a plan raises BlowUpError.
 
@@ -221,9 +216,6 @@ class GridState:
             np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.spec.cell_volume)
         )
 
-    def copy(self) -> "GridState":
-        return GridState(self.spec, self.psi.copy())
-
 
 @dataclass
 class DensityGrid:
@@ -264,7 +256,8 @@ def prepare_gaussian(
 
     psi(x) is proportional to exp(-(x-mean)^T cov^-1 (x-mean) / 4), sampled
     at cell centers and renormalized on the grid. Raises the errors of
-    check_gaussian; warns when 5 sigma spills over the grid.
+    check_gaussian, and GridSpecError("cov") when the sampled norm is zero
+    or not finite; warns when 5 sigma spills over the grid.
     """
     d = spec.num_modes
     mean = np.asarray(mean, dtype=float)
@@ -287,7 +280,10 @@ def prepare_gaussian(
     quad *= -0.25
     np.exp(quad, out=quad)
     psi = quad.astype(np.complex128)
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume)
+    norm = float(np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume))
+    if not 0 < norm < np.inf:
+        raise GridSpecError("cov", f"too narrow for the grid: the sampled norm is {norm!r}")
+    psi /= norm
     return GridState(spec, psi)
 
 
@@ -445,35 +441,30 @@ def _blocks(num_modes: int, ops: Sequence[_Op]) -> list[_Block]:
     other basis: that switch is done once, before the block, which is exact
     because no earlier op of the block touches the axis.
     """
-    bounds: list[tuple[int, int, int | None, dict[int, bool]]] = []
+    blocks: list[_Block] = []
+    in_momentum = [False] * num_modes
     start, axis, held = 0, None, {}
-    for i, (needs, _) in enumerate(ops):
+    entry, switches = list(in_momentum), [0] * num_modes
+    # an op that touches every axis closes the last block
+    end = _Op(tuple((a, False) for a in range(num_modes)), None)
+    for i, (needs, _) in enumerate([*ops, end]):
         moving = [a for a, momentum in needs if a != axis and held.get(a, momentum) != momentum]
         touched = held.keys() | {a for a, _ in needs} | {axis} - {None}
         if len(moving) > (axis is None) or (i > start and len(touched) == num_modes):
-            bounds.append((start, i, axis, held))
+            if axis is not None:
+                key = (axis, entry[axis], *(id(table) for _, table in ops[start:i]))
+                blocks.append(_Block(start, i, axis, entry[axis], in_momentum[axis],
+                                     switches[axis], tuple(sorted(held.items())), key))
             start, axis, held = i, None, {}
+            entry, switches = list(in_momentum), [0] * num_modes
         elif moving:
             axis = moving[0]
             del held[axis]
         for a, momentum in needs:
             if a != axis:
                 held.setdefault(a, momentum)
-    bounds.append((start, len(ops), axis, held))
-    # replay the basis of every axis to count each block's transforms
-    blocks: list[_Block] = []
-    in_momentum = [False] * num_modes
-    for start, stop, axis, held in bounds:
-        entry = axis is not None and in_momentum[axis]
-        transforms = 0
-        for needs, _ in ops[start:stop]:
-            for a, momentum in needs:
-                transforms += a == axis and in_momentum[a] != momentum
-                in_momentum[a] = momentum
-        if axis is not None:
-            key = (axis, entry, *(id(table) for _, table in ops[start:stop]))
-            blocks.append(_Block(start, stop, axis, entry, in_momentum[axis], transforms,
-                                 tuple(sorted(held.items())), key))
+            switches[a] += in_momentum[a] != momentum
+            in_momentum[a] = momentum
     return blocks
 
 
@@ -556,6 +547,30 @@ def _apply_block(psi: np.ndarray, matrices: np.ndarray, block: _Block) -> None:
         part[...] = out.reshape(part.shape)
 
 
+def _schedule(ops: Sequence[_Op], in_momentum: list[bool],
+              composed: dict[int, _Block], matrices: dict[tuple, np.ndarray]) -> list:
+    """The steps of ``ops`` from the bases ``in_momentum``, which it leaves
+    as the ops do. An op takes the switches its axes need, then its table;
+    a composed block, keyed by its first op, takes the switches of its
+    fixed axes, then one step with its ``matrices``."""
+    steps: list = []
+    i = 0
+    while i < len(ops):
+        block = composed.get(i)
+        for axis, momentum in block.fixed if block else ops[i].needs:
+            if in_momentum[axis] != momentum:
+                steps.append((axis, momentum))
+                in_momentum[axis] = momentum
+        if block:
+            steps.append((block, matrices[block.key]))
+            in_momentum[block.axis] = block.exit
+            i = block.stop
+        else:
+            steps.append(ops[i].table)
+            i += 1
+    return steps
+
+
 def _compile(spec: GridSpec, gates: Iterable[Gate]) -> list:
     """Compile a gate list into the steps that ``_execute`` runs.
 
@@ -564,60 +579,12 @@ def _compile(spec: GridSpec, gates: Iterable[Gate]) -> list:
     state; or a ``(block, matrices)`` pair, which applies a composed block.
     The gates are fused, each distinct fused gate is lowered once, every
     axis changes basis only when the next op needs the other one, and all
-    axes end in position. The run products and the block matrices are
-    built here, once each, and shared by every step that uses them.
+    axes end in position. Each distinct block's matrices are built here,
+    once, and shared by every step that applies the block.
     """
     ops = _lower_plan(spec, gates)
-    products: dict[tuple[int, ...], np.ndarray] = {}
-    matrices: dict[tuple, np.ndarray] = {}
-
-    def product(run: list[np.ndarray]) -> np.ndarray:
-        # keyed by the tables' ids, which stay stable while ``ops`` lives;
-        # a run of one is its table
-        key = tuple(map(id, run))
-        if key not in products:
-            products[key] = functools.reduce(np.multiply, run)
-        return products[key]
-
-    def schedule(start: int, stop: int, in_momentum: list[bool],
-                 composed: dict[int, _Block]) -> list:
-        """The steps of ops ``start:stop`` from the bases ``in_momentum``,
-        which it leaves as the ops do."""
-        steps: list = []
-        run: list[np.ndarray] = []
-        run_axes: set[int] = set()
-        i = start
-        while i < stop:
-            block = composed.get(i)
-            needs = block.fixed if block else ops[i].needs
-            axes = {axis for axis, _ in needs}
-            switches = [(axis, momentum) for axis, momentum in needs
-                        if in_momentum[axis] != momentum]
-            # A run ends at a basis change or a block, and before its product
-            # would span every axis: a product never takes the size of the state.
-            if run and (block or switches or len(run_axes | axes) == spec.num_modes):
-                steps.append(product(run))
-                run, run_axes = [], set()
-            steps += switches
-            for axis, momentum in switches:
-                in_momentum[axis] = momentum
-            if block:
-                steps.append((block, matrices[block.key]))
-                in_momentum[block.axis] = block.exit
-                i = block.stop
-            else:
-                run.append(ops[i].table)
-                run_axes |= axes
-                i += 1
-        if run:
-            steps.append(product(run))
-        return steps
-
-    # Each distinct block's matrices are built before the plan's own
-    # schedule, so ``schedule`` never calls itself: a closure that refers to
-    # itself would keep every product and matrix alive after the call, until
-    # the cycle collector runs.
     composed = _composed_blocks(spec, ops)
+    matrices: dict[tuple, np.ndarray] = {}
     for block in composed.values():
         if block.key not in matrices:
             bases = [False] * spec.num_modes
@@ -625,9 +592,9 @@ def _compile(spec: GridSpec, gates: Iterable[Gate]) -> list:
             for axis, momentum in block.fixed:
                 bases[axis] = momentum
             matrices[block.key] = _block_matrices(
-                spec, block, schedule(block.start, block.stop, bases, {}))
+                spec, block, _schedule(ops[block.start:block.stop], bases, {}, {}))
     in_momentum = [False] * spec.num_modes
-    steps = schedule(0, len(ops), in_momentum, composed)
+    steps = _schedule(ops, in_momentum, composed, matrices)
     return steps + [(axis, False) for axis, momentum in enumerate(in_momentum) if momentum]
 
 
@@ -859,17 +826,19 @@ def measure_positions(state: GridState, num_samples: int, seed: int) -> np.ndarr
     if num_samples < 1:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     spec = state.spec
-    probs = (np.abs(state.psi) ** 2).ravel() * spec.cell_volume
-    probs = np.maximum(probs, 0.0)
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum((np.abs(state.psi) ** 2).ravel() * spec.cell_volume)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    u = rng.random(num_samples)
-    flat = np.searchsorted(cdf, u, side="right")
-    flat = np.minimum(flat, probs.size - 1)
-    idx = np.unravel_index(flat, spec.shape)
+    flat = np.searchsorted(cdf, rng.random(num_samples), side="right")
+    np.minimum(flat, cdf.size - 1, out=flat)
+    # one coordinate at a time, last axis first: in C order the flat index
+    # modulo N is the last axis's index, and the quotient indexes the rest
     xs = spec.positions()
-    return np.stack([xs[i] for i in idx], axis=-1)
+    samples, index = np.empty((num_samples, spec.num_modes)), np.empty_like(flat)
+    for axis in reversed(range(spec.num_modes)):
+        np.divmod(flat, spec.points_per_mode, out=(flat, index))
+        samples[:, axis] = xs[index]
+    return samples
 
 
 def density_to_csv(density: DensityGrid) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,31 @@ class TestExitCodes:
         assert "config error: outputs:" in err
         assert "Traceback" not in err
         # the directory is checked before any evolution runs
+        assert evolved == []
+
+    def test_unreadable_config_path_exit_code(self, tmp_path, capsys):
+        # a directory: reading it raises IsADirectoryError, an OSError
+        code = main(["synth", "--config", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: config file {tmp_path} cannot be read" in err
+        assert "Traceback" not in err
+
+    def test_gaussian_narrower_than_the_grid_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every cell value of the initial state underflows to 0
+        cfg = write_config(
+            tmp_path / "c.json", grid={"points_per_mode": 16, "half_extent": 4.0},
+            initial_density={"mean": [0.05, 0.05], "covariance": [[1e-12, 0], [0, 1e-12]]})
+        evolved = []
+        monkeypatch.setattr(cli, "apply_sequence", lambda *args: evolved.append(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: initial_density.covariance:" in err
+        assert "Traceback" not in err
+        # rejected before any gate runs
         assert evolved == []
 
     def test_gaussian_backend_override_needs_quadratic_generator(self, tmp_path, capsys):

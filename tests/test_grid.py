@@ -2,6 +2,7 @@ import gc
 import os
 import signal
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -153,6 +154,15 @@ class TestPrepareGaussian:
     def test_coverage_warning_between_two_and_five_sigma(self):
         with pytest.warns(UserWarning, match="5 sigma"):
             prepare_gaussian(SPEC1, [5.0], np.array([[1.0]]))
+
+    def test_gaussian_narrower_than_a_cell_rejected(self):
+        # every sampled amplitude underflows to 0: no division by a zero norm
+        spec = GridSpec(num_modes=2, points_per_mode=16, half_extent=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridSpecError, match="sampled norm is 0.0") as info:
+                prepare_gaussian(spec, [0.05, 0.05], 1e-12 * np.eye(2))
+        assert info.value.param == "cov"
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -455,6 +465,34 @@ class TestMeasurement:
                 hits += 1
         assert hits == 20
 
+    @pytest.mark.parametrize("num_modes,points", [(1, 64), (2, 32), (3, 16), (4, 16)])
+    def test_samples_match_unravelled_flat_index(self, num_modes, points):
+        # the coordinates built one axis at a time are, bit for bit, those of
+        # the drawn flat cell index unravelled in C order
+        spec = GridSpec(num_modes=num_modes, points_per_mode=points, half_extent=8.0)
+        state = random_state(spec, 5)
+        samples = measure_positions(state, 5000, seed=9)
+        cdf = np.cumsum((np.abs(state.psi) ** 2).ravel() * spec.cell_volume)
+        cdf /= cdf[-1]
+        u = np.random.default_rng(9).random(5000)
+        flat = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        xs = spec.positions()
+        expected = np.stack([xs[i] for i in np.unravel_index(flat, spec.shape)], axis=-1)
+        assert samples.flags.c_contiguous
+        assert np.array_equal(samples, expected)
+
+    def test_peak_memory_below_three_results(self):
+        # besides the result, at most the flat indices, one axis's indices
+        # and its coordinates are alive: two and a half results
+        state = prepare_gaussian(SPEC2, [0.5, -0.2], 0.5 * np.eye(2))
+        tracemalloc.start()
+        try:
+            samples = measure_positions(state, 1_000_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * samples.nbytes
+
     def test_rejects_zero_samples(self):
         state = prepare_gaussian(SPEC1, [0.0], np.array([[1.0]]))
         with pytest.raises(ValueError, match="num_samples"):
@@ -571,10 +609,10 @@ class TestCompiledPlan:
         reference = self.gate_by_gate(state, circuit)
         assert l2_distance(planned, reference) <= 1e-12 * reference.norm()
 
-    def test_same_basis_runs_match_gate_by_gate(self):
+    def test_mixed_basis_plan_matches_gate_by_gate(self):
         # position-diagonal CZ/Q/D/P ops on modes 0 and 1, then CX ops on the
-        # momentum of mode 2 interleaved with position ops on mode 0; CX(1, 2)
-        # would make its run's product span all three axes and starts a new run
+        # momentum of mode 2 interleaved with position ops on mode 0, and a
+        # quartic phase on mode 1 between F and FDAG
         q, d, p = GateKind.QUARTIC_PHASE, GateKind.MOMENTUM_DISPLACEMENT, GateKind.QUADRATIC_PHASE
         cx, cz = GateKind.CONTROLLED_X, GateKind.CONTROLLED_Z
         block = [
@@ -589,9 +627,6 @@ class TestCompiledPlan:
         spec = GridSpec(num_modes=3, points_per_mode=32, half_extent=8.0)
         state = prepare_gaussian(spec, [0.5, -0.3, 0.2], 0.5 * np.eye(3))
         assert len(grid._lower_plan(spec, seq)) == 57
-        products = [step for step in grid._compile(spec, seq) if isinstance(step, np.ndarray)]
-        assert len(products) == 30
-        assert all(product.size < state.psi.size for product in products)
         planned = apply_sequence(state, seq)
         # the one-gate plans of gate_by_gate share the executor; the plain
         # reference below shares only the gates' tables
@@ -613,7 +648,7 @@ class TestCompiledPlan:
     @pytest.mark.parametrize(
         "name,counts",
         [("quartic", (6402, 6401, 0, 0)), ("harmonic", (802, 401, 0, 0)),
-         ("coupled4", (124, 101, 60, 3))],
+         ("coupled4", (124, 121, 60, 3))],
     )
     def test_step_counts(self, name, counts, every_stretch):
         # (transforms, multiplies, block steps, distinct block matrices)
@@ -823,6 +858,23 @@ def repeated_plans(draw):
     return GateSequence(d, tuple(step) * draw(st.integers(2, 3)))
 
 
+@st.composite
+def random_plans(draw):
+    """On 2 to 4 modes, 1 to 12 gates of D, Q, R, F, FDAG, CX and CZ,
+    repeated 1 to 4 times."""
+    d = draw(st.integers(2, 4))
+    mode = st.integers(0, d - 1).map(lambda m: (m,))
+    pair = st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True).map(tuple)
+    strength = st.floats(-0.5, 0.5).filter(bool)
+    gate = st.one_of(
+        st.builds(Gate, st.sampled_from([_D, _Q, _R]), mode, strength),
+        st.builds(Gate, st.sampled_from([_F, _FDAG]), mode),
+        st.builds(Gate, st.sampled_from([_CX, _CZ]), pair, strength),
+    )
+    step = draw(st.lists(gate, min_size=1, max_size=12))
+    return GateSequence(d, tuple(step) * draw(st.integers(1, 4)))
+
+
 class TestComposedBlocks:
     """A repeated single-axis block runs as one matmul by matrices built from
     its own ops; running every block op by op (no memory for matrices) is
@@ -849,9 +901,35 @@ class TestComposedBlocks:
         planned = apply_sequence(state, circuit)
         assert relative_deviation(planned, uncomposed(state, circuit)) <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(seq=random_plans())
+    @example(seq=HOISTED_TRANSPOSED)
+    def test_block_schedule_matches_its_block(self, seq):
+        # a block's ops, scheduled from its entry and fixed bases as its
+        # build does, transform only its axis, exactly block.transforms
+        # times, and leave it in block.exit, the basis the plan leaves it in
+        d = seq.num_modes
+        spec = GridSpec(num_modes=d, points_per_mode=16, half_extent=8.0)
+        ops = grid._lower_plan(spec, seq)
+        for block in grid._blocks(d, ops):
+            assert block.entry == bases_before(ops, block.start, d)[block.axis]
+            assert block.exit == bases_before(ops, block.stop, d)[block.axis]
+            bases = [False] * d
+            bases[block.axis] = block.entry
+            for axis, momentum in block.fixed:
+                bases[axis] = momentum
+            start = list(bases)
+            steps = grid._schedule(ops[block.start:block.stop], bases, {}, {})
+            switches = [step for step in steps if not isinstance(step, np.ndarray)]
+            assert {axis for axis, _ in switches} == {block.axis}
+            assert len(switches) == block.transforms
+            assert bases[block.axis] == block.exit
+            assert [b for a, b in enumerate(bases) if a != block.axis] == [
+                b for a, b in enumerate(start) if a != block.axis]
+
     def test_plan_arrays_freed_by_reference_counting(self):
-        # a reference cycle would hold the block matrices and run products
-        # (48 MB on the benchmark's coupled run) until the cycle collector runs
+        # a reference cycle would hold the block matrices (48 MB on the
+        # benchmark's coupled run) and the tables until the cycle collector runs
         spec = GridSpec(num_modes=3, points_per_mode=16, half_extent=8.0)
         gc.disable()
         try:

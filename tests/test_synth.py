@@ -17,11 +17,33 @@ from kvnsim.synth import (
     GateKind,
     GateSequence,
     cx_via_cz,
-    parse_gates,
     serialize_gates,
     synthesize_term,
     trotter_circuit,
 )
+
+
+def parse_gates(text: str, num_modes: int | None = None) -> GateSequence:
+    """Inverse of serialize_gates, for the round-trip tests. Infers the mode
+    count when not given."""
+    gates: list[Gate] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            raise ValueError(f"malformed gate line {line!r}")
+        try:
+            kind = GateKind(fields[0])
+        except ValueError:
+            raise ValueError(f"unknown gate kind {fields[0]!r}") from None
+        modes = tuple(int(m) for m in fields[1].split(","))
+        param = float(fields[2]) if len(fields) == 3 else None
+        gates.append(Gate(kind, modes, param))
+    if num_modes is None:
+        num_modes = 1 + max((max(g.modes) for g in gates), default=0)
+    return GateSequence(num_modes, tuple(gates))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
