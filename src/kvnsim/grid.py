@@ -279,12 +279,14 @@ def prepare_gaussian(
             quad += prec[i, j] * di * dj
     quad *= -0.25
     np.exp(quad, out=quad)
-    psi = quad.astype(np.complex128)
-    norm = float(np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume))
+    # The norm and the scaling in floats give the bits of the complex ones
+    # (numpy divides a complex by a real as a product with its reciprocal),
+    # and the peak is quad beside the result: 1.5 results, not 2.
+    norm = float(np.sqrt(np.sum(np.square(quad)) * spec.cell_volume))
     if not 0 < norm < np.inf:
         raise GridSpecError("cov", f"too narrow for the grid: the sampled norm is {norm!r}")
-    psi /= norm
-    return GridState(spec, psi)
+    quad *= 1.0 / norm
+    return GridState(spec, quad.astype(np.complex128))
 
 
 # -- compiled gate execution ---------------------------------------------------

@@ -268,17 +268,26 @@ class PhasePolynomial(SparsePolynomial):
                 for k in range(2, m + 1):
                     row[k] = row[k - 1] * row[1]
             powers.append(row)
-        out = np.zeros(np.broadcast_shapes(*shapes), dtype=dtype)
+        shape = np.broadcast_shapes(*shapes)
+        # x * 1.0 is x bit for bit in real arithmetic, not in complex
+        unit_is_identity = dtype.kind == "f"
+        out = None if self.terms else np.zeros(shape, dtype=dtype)
         for expo, coeff in self.terms.items():
+            c = float(coeff)
             term = None
             for i, e in enumerate(expo):
                 if not e:
                     continue
                 if term is None:
-                    term = powers[i][e] * float(coeff)
+                    term = powers[i][e] if c == 1.0 and unit_is_identity else powers[i][e] * c
                 else:
                     term = term * powers[i][e]  # may broadcast to a larger shape
-            out += float(coeff) if term is None else term
+            value = c if term is None else term
+            if out is None:
+                # the sum starts from 0.0 + value, as if added to zeros
+                out = np.add(value, 0.0, out=np.empty(shape, dtype=dtype))
+            else:
+                out += value
         return out
 
     # -- printing ----------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,21 @@ from hypothesis import strategies as st
 from kvnsim import cli
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, config_from_dict, load_config
-from kvnsim.grid import MEMORY_CAP_BYTES, GridSpec, apply_sequence, born_density, prepare_gaussian
+from kvnsim.grid import (
+    MEMORY_CAP_BYTES,
+    GridSpec,
+    apply_sequence,
+    born_density,
+    density_to_csv,
+    prepare_gaussian,
+)
+from kvnsim.oracle import (
+    BlowUpError,
+    DensityComparison,
+    FlowMap,
+    gaussian_density,
+    liouville_density_grid,
+)
 from kvnsim.synth import trotter_circuit
 
 QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
@@ -299,6 +314,34 @@ class TestExitCodes:
         # rejected before any gate runs
         assert evolved == []
 
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_gaussian_backend_narrower_than_a_cell_exit_code(self, tmp_path, capsys, command):
+        # the evolved density is 0 at every cell centre: its moments and the
+        # comparison would be NaN
+        cfg = write_config(
+            tmp_path / "c.json", grid={"points_per_mode": 16, "half_extent": 4.0},
+            initial_density={"mean": [0.05, 0.05], "covariance": [[1e-12, 0], [0, 1e-12]]},
+            backend="gaussian")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "v")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: initial_density.covariance:" in captured.err
+        assert "PASS" not in captured.out
+        assert not list((tmp_path / "v").glob("*.csv"))
+
+    def test_non_finite_comparison_is_a_breach(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"n_steps": 2})
+        nan = float("nan")
+        monkeypatch.setattr(cli, "compare_densities",
+                            lambda a, b: DensityComparison(nan, np.array([nan, nan]), nan))
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "first-moment error: nan" in out and "verification FAILED" in out
+
     def test_gaussian_backend_override_needs_quadratic_generator(self, tmp_path, capsys):
         code = main([
             "evolve", "--config", str(QUARTIC_CONFIG), "--out", str(tmp_path / "v"),
@@ -491,3 +534,74 @@ class TestVerify:
         cfg = write_config(tmp_path / "c.json", backend="gaussian")
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
         assert code == 0
+
+    def test_reference_csv_matches_in_process_oracle(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        config = load_config(cfg)
+        reference = liouville_density_grid(
+            FlowMap(config.hamiltonian), gaussian_density(config.mean, config.covariance),
+            config.t, config.spec)
+        written = (tmp_path / "v" / "reference_density.csv").read_bytes()
+        assert written == density_to_csv(reference).encode()
+
+    def test_reference_runs_in_a_worker_that_ends_with_the_command(self, tmp_path, monkeypatch):
+        # 128^2 points: the grid's plan runs slab steps too
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 128},
+                           evolution={"n_steps": 10})
+        ran_in = []
+
+        def reference(*args):
+            ran_in.append(threading.current_thread())
+            return liouville_density_grid(*args)
+
+        monkeypatch.setattr(cli, "liouville_density_grid", reference)
+        before = set(threading.enumerate())
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+        assert [t.name.split("_")[0] for t in ran_in] == ["kvnsim-reference"]
+        # only the grid's slab worker may outlive the command
+        left = set(threading.enumerate()) - before
+        assert all(t.name.startswith("kvnsim-slab") for t in left), left
+
+    def test_output_directory_under_a_file_starts_no_reference(
+            self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"n_steps": 2}, outputs=str(tmp_path / "file" / "out"))
+        started = []
+        monkeypatch.setattr(cli, "liouville_density_grid", lambda *args: started.append(1))
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 2
+        assert "config error: outputs:" in capsys.readouterr().err
+        assert started == []
+
+    def test_evolution_error_wins_over_reference_error(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"n_steps": 2})
+
+        def reference(*args):
+            raise BlowUpError("reference")
+
+        def evolution(config):
+            raise ConfigError("initial_density.covariance: evolution")
+
+        monkeypatch.setattr(cli, "liouville_density_grid", reference)
+        monkeypatch.setattr(cli, "_run_evolution", evolution)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "evolution" in capsys.readouterr().err
+
+    def test_reference_error_after_the_evolution_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the grid's CSVs are written; the reference's is not
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"n_steps": 2})
+
+        def reference(*args):
+            raise BlowUpError("reference")
+
+        monkeypatch.setattr(cli, "liouville_density_grid", reference)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert code == 4
+        assert "numerical blow-up: reference" in capsys.readouterr().err
+        assert (tmp_path / "v" / "density.csv").exists()
+        assert not (tmp_path / "v" / "reference_density.csv").exists()

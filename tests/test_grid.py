@@ -168,6 +168,39 @@ class TestPrepareGaussian:
         with pytest.raises(ValueError, match="positive definite"):
             prepare_gaussian(SPEC2, [0.0, 0.0], np.diag([1.0, -0.1]))
 
+    @pytest.mark.parametrize("spec, mean, cov", [
+        (SPEC1, [0.7], [[0.4]]),
+        (GridSpec(2, 256, 16.0), [1.0, 0.0], 0.5 * np.eye(2)),
+        (SPEC2, [0.5, -0.3], [[0.7, 0.2], [0.2, 0.4]]),
+        (GridSpec(4, 16, 8.0), [0.3, -0.2, 0.1, 0.0], 0.4 * np.eye(4) + 0.05),
+    ])
+    def test_matches_complex_normalisation_bitwise(self, spec, mean, cov):
+        # the plain path: the same float Gaussian, cast to complex first and
+        # normalised by the norm of its modulus
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+        prec = np.linalg.inv(cov)
+        xs = spec.positions()
+        quad = np.zeros(spec.shape)
+        for i in range(spec.num_modes):
+            for j in range(spec.num_modes):
+                quad += (prec[i, j] * spec.axis_view(xs - mean[i], i)
+                         * spec.axis_view(xs - mean[j], j))
+        psi = np.exp(-0.25 * quad).astype(np.complex128)
+        psi /= float(np.sqrt(np.sum(np.abs(psi) ** 2) * spec.cell_volume))
+        assert prepare_gaussian(spec, mean, cov).psi.tobytes() == psi.tobytes()
+
+    def test_peak_memory_is_one_and_a_half_results(self):
+        # the float Gaussian beside its complex cast, and no modulus
+        # temporary; the rest is one axis's coordinates
+        spec = GridSpec(2, 256, 16.0)
+        tracemalloc.start()
+        try:
+            state = prepare_gaussian(spec, [1.0, 0.0], 0.5 * np.eye(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.psi.nbytes + 64 * spec.points_per_mode
+
 
 class TestUnitarity:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from kvnsim.grid import DensityGrid, GridSpec
 from kvnsim.kvn import validate_separation
 from kvnsim.oracle import (
+    FLOW_CHUNK,
     BlowUpError,
     ClassicalEnsemble,
     FlowMap,
@@ -202,6 +204,87 @@ class TestFlow:
                 out = fm.flow_array(z, fm.dt)
                 jac[:, j] = out.imag / h
             assert abs(np.linalg.det(jac) - 1.0) <= 1e-12
+
+
+def unchunked_leapfrog(h, points, steps):
+    """Reference flow: the merged-kick leapfrog on all points at once, as
+    one (2n, M) array, with a temporary of M values for every kick and
+    drift."""
+    n = h.n
+    grad_v = [h.V.partial_derivative(j) for j in range(n)]
+    grad_t = [h.T.partial_derivative(n + j) for j in range(n)]
+    points = np.asarray(points)
+    dtype = points.dtype if np.iscomplexobj(points) else float
+    x = np.array(points.reshape(-1, 2 * n).T, dtype=dtype)
+
+    def kick(dt):
+        for j, grad in enumerate(grad_v):
+            x[n + j] -= dt * grad.evaluate_array(x)
+
+    pending = 0.0
+    for dt in steps:
+        kick(pending + dt / 2.0)
+        drifts = [grad.evaluate_array(x) for grad in grad_t]
+        for j, d in enumerate(drifts):
+            x[j] += dt * d
+        pending = dt / 2.0
+    kick(pending)
+    return np.ascontiguousarray(x.T).reshape(points.shape)
+
+
+class TestChunkedFlow:
+    """The flow runs FLOW_CHUNK points at a time through reused work rows;
+    every result must be bitwise that of the unchunked flow."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "count", [1, FLOW_CHUNK - 1, FLOW_CHUNK, FLOW_CHUNK + 1, 65_536]
+    )
+    def test_bitwise_equal_to_unchunked(self, count, dtype):
+        rng = np.random.default_rng(count)
+        points = rng.uniform(-3.0, 3.0, size=(count, 2)).astype(dtype)
+        if dtype is complex:
+            # complex-step perturbations, as in the volume test below
+            points += 1e-20j * rng.normal(size=points.shape)
+        got = FlowMap(quartic(), dt=0.01).flow_array(points, -0.3)
+        assert got.dtype == points.dtype
+        expected = unchunked_leapfrog(quartic(), points, [-0.01] * 30)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_bitwise_equal_to_unchunked_coupled(self):
+        # four coordinates, and a shortened last step
+        points = np.random.default_rng(4).uniform(-2.0, 2.0, size=(FLOW_CHUNK + 7, 4))
+        got = FlowMap(coupled(), dt=0.01).flow_array(points, 0.537)
+        expected = unchunked_leapfrog(coupled(), points, [0.01] * 53 + [0.537 - 53 * 0.01])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_blow_up_in_a_later_chunk_names_its_global_index(self):
+        # every point rests at the origin, an equilibrium, except one that
+        # the inverted quartic throws to infinity
+        h = validate_separation(parse_polynomial("1/2 * x2^2 - x1^4", 2), 1)
+        points = np.zeros((FLOW_CHUNK + 5, 2))
+        points[FLOW_CHUNK + 3] = [3.0, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError, match=rf"sample indices \[\[{FLOW_CHUNK + 3}\]\]$"):
+                FlowMap(h, dt=0.05).flow_array(points, 50.0)
+
+    def test_reference_blow_up_names_grid_cells(self):
+        # under -x1^3 the cells of large x1, in the third chunk of a 256^2
+        # grid onwards, escape by t = 1; the error names cells by their
+        # grid index, and each escapes when flowed alone
+        h = validate_separation(parse_polynomial("1/2 * x2^2 - x1^3", 2), 1)
+        spec = GridSpec(num_modes=2, points_per_mode=256, half_extent=16.0)
+        fm = FlowMap(h, dt=0.05)
+        rho0 = gaussian_density([0.0, 0.0], np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as info:
+                liouville_density_grid(fm, rho0, 1.0, spec)
+            cells = [(int(i), int(j)) for i, j in re.findall(r"\[(\d+), (\d+)\]", str(info.value))]
+            assert cells and np.ravel_multi_index(cells[0], spec.shape) >= 2 * FLOW_CHUNK
+            xs = spec.positions()
+            for i, j in cells:
+                with pytest.raises(BlowUpError):
+                    fm.flow_array([xs[i], xs[j]], -1.0)
 
 
 class TestLiouvilleDensity:

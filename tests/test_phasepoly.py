@@ -214,6 +214,35 @@ class TestEvaluate:
             error = abs(Fraction(float(val)) - exact_value(p, row))
             assert error <= 1e-12 * scale + np.finfo(float).tiny
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_term_sum_from_zeros_bitwise(self, dtype):
+        # the plain path: every term's power times its coefficient, summed
+        # into zeros in term order; signed zeros, infinities and NaNs too
+        def plain(p, coords):
+            shape = np.broadcast_shapes(*(np.shape(coords[i]) for i in p.support()))
+            out = np.zeros(shape, dtype=dtype)
+            for expo, coeff in p.terms.items():
+                term = float(coeff)
+                for x, e in zip(coords, expo):
+                    if e:
+                        power = np.asarray(x, dtype=dtype)
+                        for _ in range(e - 1):
+                            power = power * np.asarray(x, dtype=dtype)
+                        term = term * power
+                out += term
+            return out
+
+        special = [0.0, -0.0, 1.0, -1.5, 2.0 ** -540, 1e200, np.inf, -np.inf, np.nan]
+        values = np.zeros(len(special), dtype=dtype)
+        values.real = special
+        if dtype is complex:
+            values.imag = special[::-1]
+        coords = [values, np.roll(values, 3)]
+        for text in ("x1 + 1/10 * x1^3", "x2", "-x1", "x1^2 * x2 - 3 + x2", "7", "1/2 * x1^2"):
+            p = parse_polynomial(text, 2)
+            with np.errstate(all="ignore"):
+                assert p.evaluate_array(coords).tobytes() == plain(p, coords).tobytes(), text
+
     def test_axis_views_match_mesh_bitwise(self):
         # a grid's broadcast per-axis views and its materialised mesh give
         # the same values, in the broadcast shape
