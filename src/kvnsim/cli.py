@@ -161,14 +161,6 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
     return EvolutionResult(density, mean, cov, metrics, samples)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Path.write_text in 1 MB slices: it never holds an encoded copy of the
-    whole text (42 MB for a 32^4 density)."""
-    with path.open("w") as handle:
-        for start in range(0, len(text), 2 ** 20):
-            handle.write(text[start:start + 2 ** 20])
-
-
 def _make_output_dir(out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -177,11 +169,10 @@ def _make_output_dir(out_dir: Path) -> None:
 
 
 def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
-    _write_text(out_dir / "density.csv", density_to_csv(result.density))
-    _write_text(out_dir / "moments.csv",
-                moments_to_csv(result.mean, result.cov, result.metrics))
+    (out_dir / "density.csv").write_bytes(density_to_csv(result.density))
+    (out_dir / "moments.csv").write_bytes(moments_to_csv(result.mean, result.cov, result.metrics))
     if result.samples is not None:
-        _write_text(out_dir / "samples.csv", samples_to_csv(result.samples))
+        (out_dir / "samples.csv").write_bytes(samples_to_csv(result.samples))
 
 
 def _configure(args) -> ExperimentConfig:
@@ -234,7 +225,7 @@ def cmd_verify(args) -> int:
         result = _run_evolution(config)
         _write_outputs(result, config.outputs)
         reference_density = pending.result()
-    _write_text(config.outputs / "reference_density.csv", density_to_csv(reference_density))
+    (config.outputs / "reference_density.csv").write_bytes(density_to_csv(reference_density))
     comparison = compare_densities(result.density, reference_density)
     moment_err = float(np.linalg.norm(comparison.first_moment_error))
     print(f"total variation: {comparison.total_variation:.6f} "

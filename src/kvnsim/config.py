@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import MAX_MODES, MEMORY_CAP_BYTES, GridSpec, GridSpecError, check_gaussian
+from .grid import (
+    FLOAT_TEXT_BYTES, MAX_MODES, MEMORY_CAP_BYTES, GridSpec, GridSpecError, check_gaussian,
+)
 from .kvn import (
     ClassicalHamiltonian,
     DegreeError,
@@ -246,10 +248,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     num_samples = _read(data, "sampling.num_samples", _integer, 0)
     if num_samples < 0:
         raise ConfigError("sampling.num_samples: must be nonnegative")
-    if 8 * 2 * n * num_samples > MEMORY_CAP_BYTES:
+    # each coordinate is 8 bytes in the sample array and up to
+    # FLOAT_TEXT_BYTES in samples.csv, which is built beside the array
+    per_coordinate = 8 + FLOAT_TEXT_BYTES
+    if per_coordinate * 2 * n * num_samples > MEMORY_CAP_BYTES:
         raise ConfigError(
             f"sampling.num_samples: {num_samples} samples of {2 * n} coordinates exceed "
-            f"the memory cap of {MEMORY_CAP_BYTES} bytes at 8 bytes per coordinate"
+            f"the memory cap of {MEMORY_CAP_BYTES} bytes at {per_coordinate} bytes per coordinate"
         )
     seed = _read(data, "sampling.seed", _integer, 0)
     if seed < 0:

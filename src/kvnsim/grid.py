@@ -81,6 +81,11 @@ numpy's FFT is bitwise equal to ``scipy.fft`` at N = 16, 64, 256 and
 1024 and within about 2e-16 relative at N = 32 and 128, and momenta come
 from ``np.fft.fftfreq``, bitwise equal to scipy's.
 
+The CSV writers return each file's ASCII bytes as one bytearray, which
+they grow one last-axis row (or one group of sample rows) at a time, so a
+file's text is held once: a 32^4 density is 42 MB of text next to 17 MB
+of amplitudes.
+
 The grid is an emulation device: extent and resolution are engineering
 choices, not part of the compiled circuits.
 """
@@ -103,6 +108,11 @@ MEMORY_CAP_BYTES = 2 * 1024 ** 3
 MAX_MODES = 4
 # Width, in cells, of the face layer whose mass ``boundary_mass`` reports.
 BOUNDARY_CELLS = 2
+# Bytes of samples.csv text per coordinate, at most: the longest float repr,
+# -2.2250738585072014e-308, has 24 characters, plus one separator.
+FLOAT_TEXT_BYTES = 25
+# Sample rows that samples_to_csv formats per group.
+SAMPLE_ROWS = 4096
 # A stretch runs as two slabs only when its work, grid points times steps,
 # reaches this. Whole shipped-style plans on 2 vCPUs, slabbed and serial
 # in alternating pairs: slabs lost on 64^2 plans (56-step stretches, work
@@ -813,10 +823,20 @@ def position_moments(density: DensityGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def boundary_mass(state: GridState) -> float:
-    """Probability mass within BOUNDARY_CELLS cells of any grid face."""
-    rho = np.abs(state.psi) ** 2 * state.spec.cell_volume
-    interior = rho[(slice(BOUNDARY_CELLS, -BOUNDARY_CELLS),) * state.spec.num_modes]
-    return float(np.sum(rho) - np.sum(interior))
+    """Probability mass within BOUNDARY_CELLS cells of any grid face.
+
+    The shell is summed directly, one axis at a time: the cells counted for
+    axis a lie in its first or last BOUNDARY_CELLS layers and in the
+    interior of every earlier axis, so no cell counts twice and nothing is
+    subtracted (a total minus the interior is mostly roundoff, and can read
+    negative).
+    """
+    inner = slice(BOUNDARY_CELLS, -BOUNDARY_CELLS)
+    total = 0.0
+    for axis in range(state.spec.num_modes):
+        for edge in (slice(None, BOUNDARY_CELLS), slice(-BOUNDARY_CELLS, None)):
+            total += float(np.sum(np.abs(state.psi[(inner,) * axis + (edge,)]) ** 2))
+    return total * state.spec.cell_volume
 
 
 def measure_positions(state: GridState, num_samples: int, seed: int) -> np.ndarray:
@@ -843,47 +863,52 @@ def measure_positions(state: GridState, num_samples: int, seed: int) -> np.ndarr
     return samples
 
 
-def density_to_csv(density: DensityGrid) -> str:
+def density_to_csv(density: DensityGrid) -> bytearray:
     """One row per grid cell, in C order: coordinates then the density value.
 
-    The coordinate text is formatted once per axis value and the prefixes
-    of the first d-1 axes once each; only the density values get a repr
-    per cell, and the output is built one last-axis row at a time.
+    Returns the file's ASCII bytes. The coordinate text is formatted once
+    per axis value and the prefixes of the first d-1 axes once each; only
+    the density values get a repr per cell. Each last-axis row is encoded
+    and appended as it is made, so the text is held once, in the result.
     """
     spec = density.spec
     d = spec.num_modes
-    header = ",".join(f"x{i + 1}" for i in range(d)) + ",density\n"
+    out = bytearray((",".join(f"x{i + 1}" for i in range(d)) + ",density\n").encode())
     cells = [repr(x) + "," for x in spec.positions().tolist()]
     prefixes = [""]
     for _ in range(d - 1):
         prefixes = [prefix + cell for prefix in prefixes for cell in cells]
     rows = density.values.reshape(len(prefixes), spec.points_per_mode)
-    chunks = [header]
     for prefix, row in zip(prefixes, rows):
-        chunks.append("".join([f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, row.tolist())]))
-    return "".join(chunks)
+        out += "".join([f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, row.tolist())]).encode()
+    return out
 
 
 def moments_to_csv(
     mean: np.ndarray, cov: np.ndarray, metrics: dict[str, float] | None = None
-) -> str:
+) -> bytearray:
     """Rows: kind,label1,label2,value for means, covariances and metrics."""
     d = len(mean)
-    lines = ["kind,label1,label2,value"]
+    out = bytearray(b"kind,label1,label2,value\n")
     for i in range(d):
-        lines.append(f"mean,x{i + 1},,{float(mean[i])!r}")
+        out += f"mean,x{i + 1},,{float(mean[i])!r}\n".encode()
     for i in range(d):
         for j in range(d):
-            lines.append(f"cov,x{i + 1},x{j + 1},{float(cov[i, j])!r}")
+            out += f"cov,x{i + 1},x{j + 1},{float(cov[i, j])!r}\n".encode()
     for key, value in (metrics or {}).items():
-        lines.append(f"metric,{key},,{float(value)!r}")
-    return "\n".join(lines) + "\n"
+        out += f"metric,{key},,{float(value)!r}\n".encode()
+    return out
 
 
-def samples_to_csv(samples: np.ndarray) -> str:
+def samples_to_csv(samples: np.ndarray) -> bytearray:
+    """A header, then one row per sample; returns the file's ASCII bytes.
+
+    Rows are formatted and appended SAMPLE_ROWS at a time, so no more than
+    one group's text is held beside the result.
+    """
     d = samples.shape[1]
-    header = ",".join(f"x{i + 1}" for i in range(d))
-    lines = [header]
-    for row in samples.tolist():
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    out = bytearray((",".join(f"x{i + 1}" for i in range(d)) + "\n").encode())
+    for start in range(0, len(samples), SAMPLE_ROWS):
+        rows = samples[start:start + SAMPLE_ROWS].tolist()
+        out += "".join([",".join(map(repr, row)) + "\n" for row in rows]).encode()
+    return out

@@ -16,10 +16,8 @@ the family of generators the synthesizer knows how to lower to gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .phasepoly import PhasePolynomial, format_polynomial
-from .weyl import WeylPolynomial
 
 
 class SeparationError(ValueError):
@@ -153,10 +151,6 @@ class KvNTerm:
         allowed = set(range(n, dim)) if self.mode < n else set(range(n))
         return self.factor.support() <= allowed
 
-    def to_weyl(self) -> WeylPolynomial:
-        op = WeylPolynomial.from_position_polynomial(self.factor)
-        return op * WeylPolynomial.p(self.num_modes, self.mode) * Fraction(self.sign)
-
 
 @dataclass(frozen=True)
 class KvNHamiltonian:
@@ -189,12 +183,6 @@ class KvNHamiltonian:
         flow on quadrature means and covariances is linear."""
         return all(t.factor.degree() <= 1 for t in self.terms)
 
-    def to_weyl(self) -> WeylPolynomial:
-        out = WeylPolynomial.zero(self.num_modes)
-        for t in self.terms:
-            out = out + t.to_weyl()
-        return out
-
     def dump(self) -> str:
         """Human-readable term listing: sign, factor, momentum mode."""
         if not self.terms:
@@ -223,20 +211,3 @@ def build_kvn(h: ClassicalHamiltonian) -> KvNHamiltonian:
         for monomial in derivative.monomials():
             terms.append(KvNTerm(factor=monomial, mode=h.n + j, sign=-1))
     return KvNHamiltonian(n=h.n, terms=tuple(terms))
-
-
-def kvn_from_liouvillian(h: ClassicalHamiltonian) -> WeylPolynomial:
-    """Build i L directly as an operator, bypassing the term bookkeeping.
-
-    Substitutes d/dx_k = i P_k into L; used to cross-check build_kvn.
-    """
-    m = h.num_vars
-    total = h.total()
-    out = WeylPolynomial.zero(m)
-    for j in range(h.n):
-        dv = WeylPolynomial.from_position_polynomial(total.partial_derivative(j))
-        dt = WeylPolynomial.from_position_polynomial(total.partial_derivative(h.n + j))
-        # i L = i ( dH/dx_j (i P_{n+j}) - dH/dx_{n+j} (i P_j) )
-        out = out - dv * WeylPolynomial.p(m, h.n + j)
-        out = out + dt * WeylPolynomial.p(m, j)
-    return out

@@ -16,6 +16,7 @@ from kvnsim import cli
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, config_from_dict, load_config
 from kvnsim.grid import (
+    FLOAT_TEXT_BYTES,
     MEMORY_CAP_BYTES,
     GridSpec,
     apply_sequence,
@@ -266,7 +267,7 @@ class TestExitCodes:
         if field == "evolution.n_steps":
             per_item = 8 * len(trotter_circuit(config.kvn, 1.0, 1, config.order))
         else:
-            per_item = 8 * config.num_modes
+            per_item = (8 + FLOAT_TEXT_BYTES) * config.num_modes
         section, key = field.split(".")
         data[section][key] = MEMORY_CAP_BYTES // per_item
         config_from_dict(data)
@@ -543,7 +544,7 @@ class TestVerify:
             FlowMap(config.hamiltonian), gaussian_density(config.mean, config.covariance),
             config.t, config.spec)
         written = (tmp_path / "v" / "reference_density.csv").read_bytes()
-        assert written == density_to_csv(reference).encode()
+        assert written == density_to_csv(reference)
 
     def test_reference_runs_in_a_worker_that_ends_with_the_command(self, tmp_path, monkeypatch):
         # 128^2 points: the grid's plan runs slab steps too

@@ -559,25 +559,58 @@ class TestBornDensity:
         state = prepare_gaussian(SPEC1, [0.0], np.array([[0.5]]))
         assert boundary_mass(state) <= 1e-12
 
+    @staticmethod
+    def masked_boundary_mass(state):
+        """The face layers' mass by an explicit mask over every cell."""
+        rho = np.abs(state.psi) ** 2 * state.spec.cell_volume
+        index = np.arange(state.spec.points_per_mode)
+        near = (index < grid.BOUNDARY_CELLS) | (index >= index.size - grid.BOUNDARY_CELLS)
+        mask = np.zeros(state.spec.shape, dtype=bool)
+        for axis in range(state.spec.num_modes):
+            mask |= state.spec.axis_view(near, axis)
+        return float(rho[mask].sum())
+
+    @pytest.mark.parametrize("num_modes, points, extent, mean, variance", [
+        (1, 128, 8.0, [1.0], 0.5),
+        (1, 16, 3.0, [0.7], 1.0),
+        (2, 128, 8.0, [1.0, 0.0], 0.5),  # the harmonic config's initial state
+        (2, 64, 4.0, [0.5, -1.0], 1.0),
+        (3, 16, 4.0, [0.2, 0.0, -0.3], 1.0),
+        (4, 16, 8.0, [1.0, 0.0, 0.5, 0.0], 0.5),
+        (4, 16, 3.0, [0.0, 0.4, 0.0, -0.4], 1.2),
+    ])
+    def test_boundary_mass_sums_the_face_layers(self, num_modes, points, extent, mean, variance):
+        # a total minus the interior read 0.0 for the harmonic state,
+        # whose face layers hold about 1e-21, and can read negative; the
+        # wide states put real mass on the faces, corners included
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # under 5 sigma of margin
+            state = prepare_gaussian(GridSpec(num_modes, points, extent), mean,
+                                     variance * np.eye(num_modes))
+        expected = self.masked_boundary_mass(state)
+        assert expected > 0
+        assert boundary_mass(state) >= 0
+        assert boundary_mass(state) == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestCsvExports:
     def test_density_csv_shape_and_determinism(self):
         spec = GridSpec(num_modes=1, points_per_mode=16, half_extent=4.0)
         state = prepare_gaussian(spec, [0.0], np.array([[0.4]]))
-        text = density_to_csv(born_density(state))
-        lines = text.strip().splitlines()
-        assert lines[0] == "x1,density"
+        data = density_to_csv(born_density(state))
+        lines = data.strip().splitlines()
+        assert lines[0] == b"x1,density"
         assert len(lines) == 17
-        assert text == density_to_csv(born_density(state))
+        assert data == density_to_csv(born_density(state))
 
     @staticmethod
     def check_density_csv(density):
-        text, expected = density_to_csv(density), plain_density_to_csv(density)
-        if text != expected:  # report the first difference, not a diff of megabytes
-            k = len(os.path.commonprefix([text, expected]))
+        data, expected = density_to_csv(density), plain_density_to_csv(density).encode()
+        if data != expected:  # report the first difference, not a diff of megabytes
+            k = len(os.path.commonprefix([bytes(data), expected]))
             near = slice(max(k - 30, 0), k + 30)
-            pytest.fail(f"at byte {k}: {text[near]!r} != {expected[near]!r}")
-        values = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+            pytest.fail(f"at byte {k}: {bytes(data[near])!r} != {expected[near]!r}")
+        values = [float(line.rsplit(b",", 1)[1]) for line in data.splitlines()[1:]]
         assert values == density.values.ravel().tolist()
 
     @settings(max_examples=40, deadline=None)
@@ -592,12 +625,37 @@ class TestCsvExports:
         values = data.draw(arrays(np.float64, spec.shape, elements=elements))
         self.check_density_csv(DensityGrid(spec, values))
 
-    def test_density_csv_matches_per_cell_writer_four_modes(self):
+    @staticmethod
+    def four_mode_density():
         spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
         values = np.random.default_rng(5).random(spec.shape) ** 9
         values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
         values[-1, -1, -1, -len(EDGE_VALUES):] = EDGE_VALUES
-        self.check_density_csv(DensityGrid(spec, values))
+        return DensityGrid(spec, values)
+
+    def test_density_csv_matches_per_cell_writer_four_modes(self):
+        self.check_density_csv(self.four_mode_density())
+
+    @staticmethod
+    def traced_peak(write, data):
+        tracemalloc.start()
+        try:
+            out = write(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, len(out)
+
+    def test_density_csv_holds_its_text_once(self):
+        # the result, one row's text and the row prefixes; a list of all
+        # rows and their join would hold the text twice
+        peak, size = self.traced_peak(density_to_csv, self.four_mode_density())
+        assert peak <= 1.3 * size
+
+    def test_samples_csv_holds_its_text_once(self):
+        samples = np.random.default_rng(4).normal(size=(100_000, 4))
+        peak, size = self.traced_peak(samples_to_csv, samples)
+        assert peak <= 1.3 * size
 
     def test_samples_csv_matches_per_value_formula(self):
         rng = np.random.default_rng(3)
@@ -608,7 +666,26 @@ class TestCsvExports:
         for case in (samples, measure_positions(state, 50, seed=2)):
             header = ",".join(f"x{i + 1}" for i in range(case.shape[1]))
             rows = [",".join(repr(float(v)) for v in row) for row in case]
-            assert samples_to_csv(case) == "\n".join([header, *rows]) + "\n"
+            assert samples_to_csv(case) == ("\n".join([header, *rows]) + "\n").encode()
+
+    def test_samples_csv_groups_join_without_seams(self):
+        # more rows than one group, and a last group that is not full
+        samples = np.random.default_rng(6).normal(size=(2 * grid.SAMPLE_ROWS + 3, 2))
+        rows = [f"{float(a)!r},{float(b)!r}" for a, b in samples]
+        assert samples_to_csv(samples) == ("\n".join(["x1,x2", *rows]) + "\n").encode()
+
+    def test_float_text_bytes_covers_the_longest_reprs(self):
+        # 17 significant digits, a minus sign and a three-digit negative
+        # exponent: the longest reprs a float has
+        longest = [-2.2250738585072014e-308, -1.2345678901234567e-100, -4.9406564584124654e-300]
+        assert max(len(repr(v)) for v in longest) + 1 == grid.FLOAT_TEXT_BYTES
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=50_000) * 10.0 ** rng.integers(-323, 308, size=50_000)
+        values = np.concatenate([values, longest, [np.finfo(float).min, -5e-324]])
+        assert max(len(repr(float(v))) for v in values) + 1 <= grid.FLOAT_TEXT_BYTES
+        samples = values[: 4 * (len(values) // 4)].reshape(-1, 4)
+        header = len(b"x1,x2,x3,x4\n")
+        assert len(samples_to_csv(samples)) - header <= grid.FLOAT_TEXT_BYTES * samples.size
 
 
 class TestCompiledPlan:
