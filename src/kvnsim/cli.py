@@ -204,9 +204,11 @@ def cmd_verify(args) -> int:
     """Evolve and compare with the Liouville reference, which one worker
     thread computes while the grid runs: it needs only the config, and
     its flow, mostly numpy calls that release the GIL, fills the core the
-    grid leaves idle. Its CSV is formatted here, after the grid's: pure
-    Python formatting in the worker would hold the GIL and stall the
-    grid. An evolution error wins over a reference error."""
+    grid leaves idle. Its CSV is formatted here, after the grid's: the
+    formatter's short numpy calls and bytes.translate hold the GIL for
+    much of their time, so in the worker they would slow the grid to gain
+    at most the formatting's own 0.04 s on a 256^2 grid. An evolution
+    error wins over a reference error."""
     from concurrent.futures import ThreadPoolExecutor
 
     config = _configure(args)

@@ -183,8 +183,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"hamiltonian.n: must be between 1 and {MAX_MODES // 2} (the grid "
             f"holds at most {MAX_MODES} qumodes, one per coordinate), got {n}"
         )
+    text = _read(data, "hamiltonian.H", _string)
     try:
-        raw = parse_polynomial(_read(data, "hamiltonian.H", _string), 2 * n)
+        raw = parse_polynomial(text, 2 * n)
     except ValueError as exc:
         raise ConfigError(f"hamiltonian.H: {exc}") from exc
     try:

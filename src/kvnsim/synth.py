@@ -178,25 +178,6 @@ def synthesize_term(term: KvNTerm, s: float) -> GateSequence:
     return GateSequence(num_modes, tuple(gates))
 
 
-def cx_via_cz(j: int, k: int, s: float, num_modes: int) -> GateSequence:
-    """Express CX_{jk}(s) with controlled-phase and Fourier gates only.
-
-    Conjugating by the Fourier gate trades the target's momentum quadrature
-    for a position quadrature: P_k = -F_k^dag X_k F_k, hence
-    CX_{jk}(s) = F_k^dag CZ_{jk}(s) F_k (rightmost applied first).
-    """
-    if j == k:
-        raise ValueError("controlled gates require two distinct modes")
-    return GateSequence(
-        num_modes,
-        (
-            Gate(GateKind.FOURIER, (k,)),
-            Gate(GateKind.CONTROLLED_Z, (j, k), s),
-            Gate(GateKind.FOURIER_INVERSE, (k,)),
-        ),
-    )
-
-
 def trotter_circuit(
     h: KvNHamiltonian, t: float, n_steps: int, order: int = 1
 ) -> GateSequence:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvnsim import cli
@@ -126,6 +126,7 @@ class TestConfigValidation:
 
     @settings(deadline=None)
     @given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+    @example(field="hamiltonian.H", value=5)
     def test_any_field_value_returns_or_raises_config_error(self, field, value):
         data = config_dict()
         *sections, key = field.split(".")
@@ -135,8 +136,10 @@ class TestConfigValidation:
         target[key] = value
         try:
             config_from_dict(data)
-        except ConfigError:
-            pass
+        except ConfigError as exc:
+            # the message names its field once, as its prefix
+            name, _, rest = str(exc).partition(": ")
+            assert not rest.startswith(f"{name}:"), str(exc)
 
 
 class TestExitCodes:

@@ -1,10 +1,13 @@
 import gc
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kvnsim import grid
+from kvnsim import floattext, grid
 from kvnsim.config import load_config
 from kvnsim.grid import (
     BlowUpError,
@@ -41,11 +44,11 @@ from kvnsim.synth import (
     Gate,
     GateKind,
     GateSequence,
-    cx_via_cz,
     synthesize_term,
     trotter_circuit,
 )
 from kvnsim.gaussian import GaussianState, evolve_gaussian
+from test_synth import cx_via_cz
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -686,6 +689,107 @@ class TestCsvExports:
         samples = values[: 4 * (len(values) // 4)].reshape(-1, 4)
         header = len(b"x1,x2,x3,x4\n")
         assert len(samples_to_csv(samples)) - header <= grid.FLOAT_TEXT_BYTES * samples.size
+
+    def test_density_csv_matches_per_cell_writer_signed_and_non_finite(self):
+        spec = GridSpec(num_modes=2, points_per_mode=16, half_extent=16.0 / 3.0)
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=spec.shape) * 10.0 ** rng.integers(-320, 300, size=spec.shape)
+        values[0, :8] = [np.nan, np.inf, -np.inf, -0.0, -5e-324, -1e16, -1e-5, -123.0]
+        values[-1, -3:] = [-np.inf, np.nan, -np.finfo(float).max]
+        density = DensityGrid(spec, values)
+        assert density_to_csv(density) == plain_density_to_csv(density).encode()
+
+
+def float_text(values: np.ndarray) -> list[str]:
+    """The float-text kernel's text for each value, one string per value."""
+    words = np.zeros((len(values), floattext.FLOAT_WORDS), np.uint64)
+    floattext.float_text(np.ascontiguousarray(values, dtype=np.float64), words)
+    words.view(np.uint8)[:, -1] = ord("\n")  # the byte the kernel leaves free
+    return words.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def assert_reprs(values: np.ndarray) -> None:
+    got = float_text(values)
+    for start in range(0, len(values), 4096):  # a whole-array diff would be megabytes
+        expected = [repr(float(v)) for v in values[start:start + 4096]]
+        assert got[start:start + 4096] == expected
+
+
+class TestFloatText:
+    """The kernel that density_to_csv and samples_to_csv format with gives
+    repr's text for every double."""
+
+    def test_random_bit_patterns_of_every_class(self):
+        rng = np.random.default_rng(11)
+        n = 2 ** 18
+        sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        # biased exponents 0 (zero and subnormal) to 2046 (the largest
+        # normal), uniform, so each binade gets about 128 values
+        biased = rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+        mantissa = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+        mantissa[: n // 64] = 0  # powers of two and zeros
+        mantissa[n // 64: n // 32] = rng.integers(0, 4, n // 64, dtype=np.uint64)  # C_TINY
+        values = (sign | biased | mantissa).view(np.float64)
+        assert np.isfinite(values).all()
+        assert (values == 0).any() and (np.abs(values) < np.finfo(float).tiny).any()
+        assert_reprs(values)
+
+    def test_powers_of_two_both_signs(self):
+        # the asymmetric rounding interval below each power of two
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert powers[0] == 5e-324 and np.isfinite(powers[-1])
+        assert_reprs(np.concatenate([powers, -powers]))
+
+    def test_integers(self):
+        near_2_53 = 2.0 ** 53 + np.arange(-4096, 4097, dtype=float)
+        assert_reprs(np.concatenate([np.arange(2 ** 17 + 1, dtype=float), near_2_53, -near_2_53]))
+
+    def test_neighbours_of_the_notation_switches(self):
+        # repr switches from fixed to exponent form below 1e-4 and from 1e16
+        switches = np.array([1e-4, 1e-5, 1e15, 1e16])
+        below, above = np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)
+        values = np.concatenate([switches, below, above])
+        assert_reprs(np.concatenate([values, -values]))
+
+    def test_edge_values(self):
+        tiny = np.finfo(float).tiny
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny, -tiny,
+                           np.finfo(float).max, np.finfo(float).min, np.nan, np.inf, -np.inf])
+        assert float_text(values) == [
+            "0.0", "-0.0", "5e-324", "-5e-324", "2.225073858507201e-308",
+            "2.2250738585072014e-308", "-2.2250738585072014e-308",
+            "1.7976931348623157e+308", "-1.7976931348623157e+308", "nan", "inf", "-inf",
+        ]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 300), elements=st.floats()))
+    def test_hypothesis_floats(self, values):
+        assert_reprs(values)
+
+    def test_schubfach_table(self):
+        # g = floor(10^e / 2^r) + 1 with 2^125 <= g < 2^126
+        g1, g0 = floattext._schubfach_table()
+        for i, e in enumerate(range(-292, 325)):
+            g = (int(g1[i]) << 63) + int(g0[i])
+            assert 2 ** 125 <= g < 2 ** 126
+            power = Fraction(10) ** e
+            r = power.numerator.bit_length() - power.denominator.bit_length() - 126
+            r += power / Fraction(2) ** r >= 2 ** 126
+            assert g - 1 <= power / Fraction(2) ** r < g
+
+    def test_importing_the_cli_builds_no_table(self):
+        code = (
+            "import sys\n"
+            "import kvnsim.cli\n"
+            "print('kvnsim.floattext' in sys.modules)\n"
+            "from kvnsim import floattext\n"
+            "print(floattext._schubfach_table.cache_info().currsize, floattext._text_tables.cache_info().currsize)\n"
+        )
+        src = str(Path(grid.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "0", "0"]
 
 
 class TestCompiledPlan:

@@ -16,11 +16,29 @@ from kvnsim.synth import (
     Gate,
     GateKind,
     GateSequence,
-    cx_via_cz,
     serialize_gates,
     synthesize_term,
     trotter_circuit,
 )
+
+
+def cx_via_cz(j: int, k: int, s: float, num_modes: int) -> GateSequence:
+    """Express CX_{jk}(s) with controlled-phase and Fourier gates only.
+
+    Conjugating by the Fourier gate trades the target's momentum quadrature
+    for a position quadrature: P_k = -F_k^dag X_k F_k, hence
+    CX_{jk}(s) = F_k^dag CZ_{jk}(s) F_k (rightmost applied first).
+    """
+    if j == k:
+        raise ValueError("controlled gates require two distinct modes")
+    return GateSequence(
+        num_modes,
+        (
+            Gate(GateKind.FOURIER, (k,)),
+            Gate(GateKind.CONTROLLED_Z, (j, k), s),
+            Gate(GateKind.FOURIER_INVERSE, (k,)),
+        ),
+    )
 
 
 def parse_gates(text: str, num_modes: int | None = None) -> GateSequence:
