@@ -32,6 +32,7 @@ from .config import BACKENDS, ConfigError, ExperimentConfig, check_backend, load
 from .expansion import admissible_exponent_triples
 from .gaussian import GaussianState, evolve_gaussian
 from .grid import (
+    MEMORY_CAP_BYTES,
     DensityGrid,
     GridSpecError,
     apply_sequence,
@@ -131,7 +132,9 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
         evolved = evolve_gaussian(state, config.kvn, config.t)
         mean = evolved.position_mean()
         cov = evolved.position_cov()
-        density = DensityGrid(spec, gaussian_density(mean, cov)(spec.mesh()))
+        # sampled by the reference's cell sweep, at t = 0: no flow
+        rho = gaussian_density(mean, cov)
+        density = liouville_density_grid(FlowMap(config.hamiltonian), rho, 0.0, spec)
         total = density.total()
         if not 0 < total < np.inf:
             # as prepare_gaussian rejects such a state on the grid backend
@@ -139,7 +142,6 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
                 "initial_density.covariance: too narrow for the grid: the evolved "
                 f"density sampled at the cell centres totals {total!r}"
             )
-        metrics = {"boundary_mass": 0.0, "norm_error": 0.0}
         if config.num_samples:
             rng = np.random.default_rng(config.seed)
             samples = rng.multivariate_normal(mean, cov, size=config.num_samples)
@@ -149,15 +151,14 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
         except GridSpecError as exc:
             raise ConfigError.from_grid(exc) from exc
         circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
-        evolved = apply_sequence(state, circuit)
-        density = born_density(evolved)
+        density = born_density(apply_sequence(state, circuit))
         mean, cov = position_moments(density)
-        metrics = {
-            "boundary_mass": boundary_mass(evolved),
-            "norm_error": abs(evolved.norm() - 1.0),
-        }
         if config.num_samples:
-            samples = measure_positions(evolved, config.num_samples, config.seed)
+            samples = measure_positions(density, config.num_samples, config.seed)
+    metrics = {
+        "boundary_mass": boundary_mass(density),
+        "norm_error": abs(float(np.sqrt(density.total())) - 1.0),
+    }
     return EvolutionResult(density, mean, cov, metrics, samples)
 
 
@@ -200,6 +201,16 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
+def _check_reference_steps(t: float, dt: float) -> None:
+    """Raise ConfigError unless the reference flow's list of steps of dt
+    spanning t, ceil(|t| / dt) of them, fits the memory cap at 8 bytes each."""
+    if abs(t) / dt > MEMORY_CAP_BYTES // 8:  # so is its ceiling; inf included
+        raise ConfigError(
+            f"evolution.t: {abs(t) / dt:.4g} reference flow steps of dt = {dt!r} "
+            f"exceed the memory cap of {MEMORY_CAP_BYTES} bytes at 8 bytes per step"
+        )
+
+
 def cmd_verify(args) -> int:
     """Evolve and compare with the Liouville reference, which one worker
     thread computes while the grid runs: it needs only the config, and
@@ -213,6 +224,7 @@ def cmd_verify(args) -> int:
 
     config = _configure(args)
     flow = FlowMap(config.hamiltonian)
+    _check_reference_steps(config.t, flow.dt)
     rho0 = gaussian_density(config.mean, config.covariance)
     errstate = np.geterr()
 

@@ -206,11 +206,6 @@ class GridSpec:
         n = self.points_per_mode
         return (np.arange(n) - n // 2) * self.dx
 
-    def mesh(self) -> np.ndarray:
-        """Cell centres, shape ``shape + (num_modes,)``."""
-        xs = self.positions()
-        return np.stack(np.meshgrid(*([xs] * self.num_modes), indexing="ij"), axis=-1)
-
     def momenta_fft_order(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_mode, d=self.dx)
 
@@ -835,33 +830,35 @@ def position_moments(density: DensityGrid) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def boundary_mass(state: GridState) -> float:
+def boundary_mass(density: DensityGrid) -> float:
     """Probability mass within BOUNDARY_CELLS cells of any grid face.
 
     The shell is summed directly, one axis at a time: the cells counted for
     axis a lie in its first or last BOUNDARY_CELLS layers and in the
     interior of every earlier axis, so no cell counts twice and nothing is
     subtracted (a total minus the interior is mostly roundoff, and can read
-    negative).
+    negative). Each slice is summed as a contiguous copy: numpy sums a
+    strided view in another order, which can move the last digit.
     """
     inner = slice(BOUNDARY_CELLS, -BOUNDARY_CELLS)
     total = 0.0
-    for axis in range(state.spec.num_modes):
+    for axis in range(density.spec.num_modes):
         for edge in (slice(None, BOUNDARY_CELLS), slice(-BOUNDARY_CELLS, None)):
-            total += float(np.sum(np.abs(state.psi[(inner,) * axis + (edge,)]) ** 2))
-    return total * state.spec.cell_volume
+            total += float(np.sum(density.values[(inner,) * axis + (edge,)].copy()))
+    return total * density.spec.cell_volume
 
 
-def measure_positions(state: GridState, num_samples: int, seed: int) -> np.ndarray:
-    """Draw position-basis samples by inverse CDF over the flattened grid.
+def measure_positions(density: DensityGrid, num_samples: int, seed: int) -> np.ndarray:
+    """Draw position samples from a grid density by inverse CDF over the
+    flattened grid.
 
     Deterministic for a fixed seed; returns an array of cell-center
     coordinates with shape (num_samples, num_modes).
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    spec = state.spec
-    cdf = np.cumsum((np.abs(state.psi) ** 2).ravel() * spec.cell_volume)
+    spec = density.spec
+    cdf = np.cumsum(density.values.ravel() * spec.cell_volume)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     flat = np.searchsorted(cdf, rng.random(num_samples), side="right")

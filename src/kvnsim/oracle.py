@@ -20,7 +20,7 @@ from .kvn import ClassicalHamiltonian
 from .phasepoly import PhasePolynomial
 
 # Points a flow advances together through all of its steps. A chunk's
-# rows, work row and evaluator temporaries (128 KiB each) stay in a core's
+# rows and evaluator temporaries (128 KiB each) stay in a core's
 # L2 cache. Flowing the 256^2 quartic mesh back by t = 1 in a fresh process
 # took 0.35-0.41 s at this size with about 500 page faults; 2^15 points
 # took 3.4 times as long, faulting in about 450,000 pages (glibc returns
@@ -34,49 +34,38 @@ class FlowMap:
     """Numerical flow of Hamilton's equations for a separable Hamiltonian.
 
     Leapfrog alternates the exact kick (momentum update from grad V) and
-    drift (position update from grad T) flows and is symplectic.
+    drift (position update from grad T) flows and is symplectic. Each is a
+    list of shears: row ``target`` becomes ``update(row, h * gradient)``.
     """
 
     hamiltonian: ClassicalHamiltonian
     dt: float = 1e-3
-    _grad_v: list[PhasePolynomial] = field(init=False, repr=False)
-    _grad_t: list[PhasePolynomial] = field(init=False, repr=False)
+    _kicks: list[tuple[int, PhasePolynomial, np.ufunc]] = field(init=False, repr=False)
+    _drifts: list[tuple[int, PhasePolynomial, np.ufunc]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         h = self.hamiltonian
-        self._grad_v = [h.V.partial_derivative(j) for j in range(h.n)]
-        self._grad_t = [h.T.partial_derivative(h.n + j) for j in range(h.n)]
+        self._kicks = [(h.n + j, h.V.partial_derivative(j), np.subtract) for j in range(h.n)]
+        self._drifts = [(j, h.T.partial_derivative(h.n + j), np.add) for j in range(h.n)]
 
-    # -- single steps on the rows of a chunk of points ------------------------
+    def _shears(self, steps: list[float]):
+        """Kick-drift-kick steps as ``(shears, h)`` pairs, generated, with
+        each closing half-kick merged into the next opening one:
+        K(a/2) D(a) K((a+b)/2) D(b) K(b/2).
 
-    def _kick(self, x: list[np.ndarray], dt: float, work: np.ndarray) -> None:
-        n = self.hamiltonian.n
-        for j, grad in enumerate(self._grad_v):
-            np.multiply(dt, grad.evaluate_array(x), out=work)
-            np.subtract(x[n + j], work, out=x[n + j])
-
-    def _drift(self, x: list[np.ndarray], dt: float, work: np.ndarray) -> None:
-        drifts = [grad.evaluate_array(x) for grad in self._grad_t]
-        for j, d in enumerate(drifts):
-            np.multiply(dt, d, out=work)
-            np.add(x[j], work, out=x[j])
-
-    def _leapfrog(self, x: list[np.ndarray], steps: list[float], work: np.ndarray) -> None:
-        """Kick-drift-kick steps with each step's closing half-kick merged
-        into the next step's opening one: K(a/2) D(a) K((a+b)/2) D(b) K(b/2).
-
-        Kicks commute with each other (grad V reads positions only), so the
+        No gradient reads the rows its own list updates (grad V reads
+        positions, grad T momenta), so the shears of a list commute and the
         merge is exact up to roundoff (Hairer, Lubich & Wanner, Geometric
         Numerical Integration, 2006, first-same-as-last Stormer-Verlet).
         """
         pending = 0.0
         for h in steps:
-            self._kick(x, pending + h / 2.0, work)
-            self._drift(x, h, work)
+            yield self._kicks, pending + h / 2.0
+            yield self._drifts, h
             pending = h / 2.0
-        self._kick(x, pending, work)
+        yield self._kicks, pending
 
     def _step_sizes(self, t: float) -> list[float]:
         """Signed step sizes summing to t: whole dt steps, plus one shorter
@@ -90,19 +79,20 @@ class FlowMap:
         span = abs(t)
         ratio = span / self.dt
         whole = round(ratio)
+        # one float object repeated: the list holds 8 bytes per step
+        step = math.copysign(self.dt, t)
         if whole and math.isclose(ratio, whole, rel_tol=1e-12):
-            sizes = [self.dt] * whole
-        else:
-            whole = math.floor(ratio)
-            sizes = [self.dt] * whole + [span - whole * self.dt]
-        return [math.copysign(h, t) for h in sizes]
+            return [step] * whole
+        whole = math.floor(ratio)
+        sizes = [step] * (whole + 1)
+        sizes[-1] = math.copysign(span - whole * self.dt, t)
+        return sizes
 
     def _flow_columns(self, x: np.ndarray, t: float, shape: tuple, start: int = 0) -> None:
         """Advance the columns of a (2n, M) array in place by t.
 
-        The columns go FLOW_CHUNK at a time, each chunk through every step
-        before the next, and every kick and drift writes through one work
-        row of a chunk's length, so no step makes a temporary of M values.
+        The columns go FLOW_CHUNK at a time, each chunk through every
+        shear before the next, so no shear makes a temporary of M values.
         The arithmetic per point does not depend on the chunking. Raises
         BlowUpError naming the first non-finite columns of a chunk by their
         index in ``shape``, column 0 being flat index ``start``.
@@ -110,10 +100,14 @@ class FlowMap:
         if t == 0.0:
             return
         steps = self._step_sizes(t)
-        work = np.empty(min(FLOW_CHUNK, x.shape[1]), dtype=x.dtype)
         for a in range(0, x.shape[1], FLOW_CHUNK):
             chunk = x[:, a:a + FLOW_CHUNK]
-            self._leapfrog(list(chunk), steps, work[:chunk.shape[1]])
+            rows = list(chunk)
+            for shears, h in self._shears(steps):
+                for target, gradient, update in shears:
+                    d = gradient.evaluate_array(rows)
+                    d *= h
+                    update(rows[target], d, out=rows[target])
             bad = np.flatnonzero(~np.isfinite(chunk).all(axis=0))
             if bad.size:
                 index = np.stack(np.unravel_index(start + a + bad[:10], shape), axis=-1)

@@ -9,9 +9,9 @@ at most three in position quadratures of other qumodes. Lowering rules:
                    CX conjugation with weights h, inner phase gate of
                    degree a on mode t ] F_t^dag
 
-where the inner gate is a quadratic, cubic or quartic phase gate with its
-strength adjusted for the gate normalizations P(s) = exp(i s X^2 / 2) and
-V(s) = exp(i s X^3 / 3). Conjugations with zero weight are omitted.
+where a = degree + 1, so the inner gate is a cubic phase gate (strength
+adjusted for V(s) = exp(i s X^3 / 3)) or a quartic one, and synthesis
+emits no P, R or CZ gate. Conjugations with zero weight are omitted.
 
 Gate sequences serialize one gate per line as ``KIND mode[,mode] param``
 with shortest round-trip decimals; Fourier gates carry no parameter.
@@ -115,11 +115,7 @@ class GateSequence:
 
 
 def _inner_phase_gate(mode: int, degree: int, strength: float) -> Gate:
-    """Gate implementing exp(i * strength * X^degree) on one mode."""
-    if degree == 1:
-        return Gate(GateKind.MOMENTUM_DISPLACEMENT, (mode,), strength)
-    if degree == 2:
-        return Gate(GateKind.QUADRATIC_PHASE, (mode,), 2.0 * strength)
+    """Gate implementing exp(i * strength * X^degree), degree 3 or 4, on one mode."""
     if degree == 3:
         return Gate(GateKind.CUBIC_PHASE, (mode,), 3.0 * strength)
     if degree == 4:

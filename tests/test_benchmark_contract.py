@@ -1,0 +1,99 @@
+"""The kvnsim names the benchmark in ``perfbench/`` imports or wraps.
+
+The benchmark runs only under ``python -m pytest perfbench``; these checks
+make a change that renames, rebinds or re-signs one of its names fail the
+main suite as well.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+from kvnsim import cli
+from kvnsim.config import ExperimentConfig, config_from_dict
+from kvnsim.grid import GridSpec, apply_gate, prepare_gaussian
+from kvnsim.oracle import (
+    ClassicalEnsemble,
+    FlowMap,
+    ensemble_evolve,
+    gaussian_density,
+    liouville_density_grid,
+)
+from kvnsim.phasepoly import PhasePolynomial
+from kvnsim.synth import Gate, GateKind, GateSequence, trotter_circuit
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def layer_spans() -> dict[str, tuple[str, ...]]:
+    """The ``LAYER_SPANS`` literal of the benchmark's workloads module."""
+    tree = ast.parse(WORKLOADS_PY.read_text())
+    (value,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYER_SPANS"])
+    return ast.literal_eval(value)
+
+
+# spans the tracer opens itself or around a method, not around a cli binding
+UNBOUND_SPANS = {"cli.import", "phasepoly.PhasePolynomial.evaluate_array"}
+
+
+def test_cli_binds_the_entry_points_the_launcher_patches():
+    assert callable(cli.main)
+    assert cli.load_config.__module__ == "kvnsim.config"
+
+
+@pytest.mark.parametrize(
+    "span", sorted({s for spans in layer_spans().values() for s in spans} - UNBOUND_SPANS)
+)
+def test_cli_binds_each_traced_function_under_its_span_name(span):
+    # the tracer wraps the public functions of kvnsim modules that cli
+    # binds, and names each span after its defining module and __name__
+    module, name = span.split(".")
+    own = getattr(importlib.import_module(f"kvnsim.{module}"), name)
+    assert getattr(cli, name) is own
+    assert own.__module__ == f"kvnsim.{module}" and own.__name__ == name
+    assert inspect.isfunction(own)
+
+
+def test_counted_signatures():
+    # perfbench/tracing.py binds these parameters by name
+    assert list(inspect.signature(liouville_density_grid).parameters) == [
+        "map", "rho0", "t", "spec"]
+    assert list(inspect.signature(PhasePolynomial.evaluate_array).parameters) == [
+        "self", "coords"]
+    assert list(inspect.signature(FlowMap).parameters) == ["hamiltonian", "dt"]
+
+
+def test_imported_names_keep_their_signatures():
+    for fn, params in (
+        (FlowMap.flow_array, ["self", "points", "t"]),
+        (gaussian_density, ["mean", "cov"]),
+        (ClassicalEnsemble, ["samples"]),
+        (ensemble_evolve, ["map", "ensemble", "t"]),
+        (GridSpec, ["num_modes", "points_per_mode", "half_extent"]),
+        (apply_gate, ["state", "gate"]),
+        (prepare_gaussian, ["spec", "mean", "cov"]),
+        (config_from_dict, ["data"]),
+        (trotter_circuit, ["h", "t", "n_steps", "order"]),
+        (Gate, ["kind", "modes", "param"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == params, fn
+    assert isinstance(GateSequence(1), GateSequence)
+
+
+def test_gate_kinds_and_config_fields_it_reads():
+    # perfbench/circuit.py names every kind; its counts use the values
+    assert {k.name: k.value for k in GateKind} == {
+        "MOMENTUM_DISPLACEMENT": "D", "QUADRATIC_PHASE": "P", "CUBIC_PHASE": "V",
+        "QUARTIC_PHASE": "Q", "ROTATION": "R", "CONTROLLED_Z": "CZ",
+        "CONTROLLED_X": "CX", "FOURIER": "F", "FOURIER_INVERSE": "FDAG",
+    }
+    fields = {name for name, _ in inspect.getmembers(ExperimentConfig)}
+    fields |= set(ExperimentConfig.__dataclass_fields__)
+    assert fields >= {
+        "hamiltonian", "kvn", "mean", "covariance", "t", "n_steps", "order", "seed",
+        "num_modes", "points_per_mode", "half_extent",
+    }

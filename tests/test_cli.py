@@ -34,6 +34,7 @@ from kvnsim.oracle import (
 from kvnsim.synth import trotter_circuit
 
 QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
+HARMONIC_CONFIG = QUARTIC_CONFIG.with_name("harmonic.json")
 
 
 def config_dict():
@@ -278,6 +279,30 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=f"^{field}: .* memory cap"):
             config_from_dict(data)
 
+    def test_reference_step_list_beyond_the_memory_cap_exit_code(self, tmp_path, capsys):
+        # 1e15 steps of the reference's flow; evolve runs no flow
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"t": 1e12})
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: evolution.t:" in err and "memory cap" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "v").glob("*.csv"))
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+
+    @pytest.mark.parametrize("dt", [0.25, 1.0])
+    def test_reference_step_bound_exact(self, dt):
+        # checked only, never flowed: the largest accepted t lists steps
+        # filling the whole memory cap at 8 bytes each
+        steps = MEMORY_CAP_BYTES // 8
+        for sign in (1.0, -1.0):
+            cli._check_reference_steps(sign * steps * dt, dt)
+            with pytest.raises(ConfigError, match="^evolution.t: .* memory cap"):
+                cli._check_reference_steps(sign * (steps + 1) * dt, dt)
+        with pytest.raises(ConfigError, match="^evolution.t: "):
+            cli._check_reference_steps(1e308, 1e-3)  # |t| / dt overflows
+
     def test_output_directory_under_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "file").write_text("")
         cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
@@ -474,6 +499,70 @@ class TestEvolve:
         }
         assert rows[("mean", "x1", "")] == pytest.approx(0.0, abs=1e-12)
         assert rows[("mean", "x2", "")] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_gaussian_backend_density_is_the_evolved_normal(self, tmp_path, coupled):
+        from scipy.linalg import expm
+        from scipy.stats import multivariate_normal
+
+        if coupled:
+            # H = p.p/2 + x.K.x/2 on a 4-mode grid
+            stiffness = [[1.0, 0.2], [0.2, 1.0]]
+            cfg = write_config(
+                tmp_path / "c.json",
+                hamiltonian={"n": 2, "H": "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 "
+                                          "+ 1/2 * x2^2 + 1/5 * x1 * x2"},
+                initial_density={"mean": [1.0, 0.5, 0.0, 0.2],
+                                 "covariance": (0.5 * np.eye(4)).tolist()},
+                grid={"points_per_mode": 16, "half_extent": 8.0})
+        else:
+            stiffness, cfg = [[1.0]], HARMONIC_CONFIG
+        out = tmp_path / "v"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out),
+                     "--backend", "gaussian"]) == 0
+        config = load_config(cfg)
+        n = config.hamiltonian.n
+        # the linear flow of dx/dt = p, dp/dt = -K x carries N(mean, cov)
+        generator = np.zeros((2 * n, 2 * n))
+        generator[:n, n:] = np.eye(n)
+        generator[n:, :n] = -np.asarray(stiffness)
+        flow = expm(config.t * generator)
+        exact = multivariate_normal(flow @ config.mean, flow @ config.covariance @ flow.T)
+        table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+        assert table.shape == (config.points_per_mode ** (2 * n), 2 * n + 1)
+        expected = exact.pdf(table[:, :-1])
+        # exp(-q/2) turns an ulp of the quadratic form q into a relative
+        # error of about q/2 ulps: 1e-13 relative per unit of q/2
+        half_q = exact.logpdf(exact.mean) - exact.logpdf(table[:, :-1])
+        error = np.abs(table[:, -1] - expected) / expected
+        assert np.all(error <= 1e-13 * (1.0 + half_q))
+
+    def test_gaussian_backend_measures_the_density_it_writes(self, tmp_path, capsys):
+        # a free particle drifting out of the box: 11 % of the mass leaves
+        cfg = write_config(
+            tmp_path / "c.json", hamiltonian={"n": 1, "H": "1/2 * x2^2"}, backend="gaussian",
+            initial_density={"mean": [0.0, 3.0], "covariance": [[0.5, 0.0], [0.0, 0.5]]},
+            grid={"points_per_mode": 128, "half_extent": 8.0},
+            evolution={"t": 2.0, "n_steps": 20, "order": 2})
+        out = tmp_path / "v"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        metrics = {
+            line.split(",")[1]: float(line.split(",")[3])
+            for line in (out / "moments.csv").read_text().splitlines()
+            if line.startswith("metric,")
+        }
+        table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+        values = table[:, -1].reshape(128, 128)
+        cell = (16.0 / 128) ** 2
+        index = np.arange(128)
+        near = (index < 2) | (index >= 126)
+        face_mass = float(values[near[:, None] | near[None, :]].sum()) * cell
+        assert face_mass > 1e-2
+        assert metrics["boundary_mass"] == pytest.approx(face_mass, rel=1e-12)
+        norm_error = abs(np.sqrt(values.sum() * cell) - 1.0)
+        assert norm_error > 5e-2
+        assert metrics["norm_error"] == pytest.approx(norm_error, rel=1e-12)
+        assert f"boundary mass: {face_mass:.3e}" in capsys.readouterr().out
 
     def test_backend_override_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

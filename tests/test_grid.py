@@ -479,15 +479,15 @@ class TestMeasurement:
         psi = np.zeros(64, dtype=np.complex128)
         psi[40] = 1.0 / np.sqrt(spec.dx)
         state = GridState(spec, psi)
-        samples = measure_positions(state, 50, seed=3)
+        samples = measure_positions(born_density(state), 50, seed=3)
         assert np.all(samples[:, 0] == spec.positions()[40])
 
     def test_deterministic_given_seed(self):
         state = prepare_gaussian(SPEC1, [0.0], np.array([[1.0]]))
-        a = measure_positions(state, 1000, seed=11)
-        b = measure_positions(state, 1000, seed=11)
+        a = measure_positions(born_density(state), 1000, seed=11)
+        b = measure_positions(born_density(state), 1000, seed=11)
         assert np.array_equal(a, b)
-        c = measure_positions(state, 1000, seed=12)
+        c = measure_positions(born_density(state), 1000, seed=12)
         assert not np.array_equal(a, c)
 
     def test_sample_mean_within_clt_bound_across_seeds(self):
@@ -496,7 +496,7 @@ class TestMeasurement:
         bound = 3.0 / np.sqrt(n)  # 3 sigma / sqrt(n) with sigma = 1
         hits = 0
         for seed in range(20):
-            samples = measure_positions(state, n, seed=seed)
+            samples = measure_positions(born_density(state), n, seed=seed)
             if abs(samples[:, 0].mean()) <= bound:
                 hits += 1
         assert hits == 20
@@ -507,7 +507,7 @@ class TestMeasurement:
         # the drawn flat cell index unravelled in C order
         spec = GridSpec(num_modes=num_modes, points_per_mode=points, half_extent=8.0)
         state = random_state(spec, 5)
-        samples = measure_positions(state, 5000, seed=9)
+        samples = measure_positions(born_density(state), 5000, seed=9)
         cdf = np.cumsum((np.abs(state.psi) ** 2).ravel() * spec.cell_volume)
         cdf /= cdf[-1]
         u = np.random.default_rng(9).random(5000)
@@ -520,10 +520,10 @@ class TestMeasurement:
     def test_peak_memory_below_three_results(self):
         # besides the result, at most the flat indices, one axis's indices
         # and its coordinates are alive: two and a half results
-        state = prepare_gaussian(SPEC2, [0.5, -0.2], 0.5 * np.eye(2))
+        density = born_density(prepare_gaussian(SPEC2, [0.5, -0.2], 0.5 * np.eye(2)))
         tracemalloc.start()
         try:
-            samples = measure_positions(state, 1_000_000, seed=7)
+            samples = measure_positions(density, 1_000_000, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -532,7 +532,7 @@ class TestMeasurement:
     def test_rejects_zero_samples(self):
         state = prepare_gaussian(SPEC1, [0.0], np.array([[1.0]]))
         with pytest.raises(ValueError, match="num_samples"):
-            measure_positions(state, 0, seed=0)
+            measure_positions(born_density(state), 0, seed=0)
 
 
 class TestBornDensity:
@@ -560,7 +560,7 @@ class TestBornDensity:
 
     def test_boundary_mass_tiny_for_contained_state(self):
         state = prepare_gaussian(SPEC1, [0.0], np.array([[0.5]]))
-        assert boundary_mass(state) <= 1e-12
+        assert boundary_mass(born_density(state)) <= 1e-12
 
     @staticmethod
     def masked_boundary_mass(state):
@@ -592,8 +592,8 @@ class TestBornDensity:
                                      variance * np.eye(num_modes))
         expected = self.masked_boundary_mass(state)
         assert expected > 0
-        assert boundary_mass(state) >= 0
-        assert boundary_mass(state) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert boundary_mass(born_density(state)) >= 0
+        assert boundary_mass(born_density(state)) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestCsvExports:
@@ -666,7 +666,7 @@ class TestCsvExports:
         samples[0] = EDGE_VALUES[:3]
         samples[1] = [-0.0, *EDGE_VALUES[3:]]
         state = prepare_gaussian(SPEC2, [0.3, -0.1], 0.5 * np.eye(2))
-        for case in (samples, measure_positions(state, 50, seed=2)):
+        for case in (samples, measure_positions(born_density(state), 50, seed=2)):
             header = ",".join(f"x{i + 1}" for i in range(case.shape[1]))
             rows = [",".join(repr(float(v)) for v in row) for row in case]
             assert samples_to_csv(case) == ("\n".join([header, *rows]) + "\n").encode()

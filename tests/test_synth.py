@@ -128,6 +128,12 @@ class TestExpansionCoefficients:
         x = [PhasePolynomial.variable(4, i) for i in range(4)]
         target = x[0] * x[1] ** a2 * x[2] ** a3 * x[3] ** a4
         assert expansion_sum(a2, a3, a4) == target
+        # the catalog generator X2^a2 X3^a3 X4^a4 P1 needs no P, R or CZ gate
+        term = KvNTerm(PhasePolynomial.monomial(4, (0, a2, a3, a4), 1), mode=0, sign=1)
+        kinds = {g.kind for g in synthesize_term(term, 0.3)}
+        assert kinds <= {GateKind.CONTROLLED_X, GateKind.MOMENTUM_DISPLACEMENT,
+                         GateKind.FOURIER, GateKind.FOURIER_INVERSE,
+                         GateKind.CUBIC_PHASE, GateKind.QUARTIC_PHASE}
 
     def test_coefficient_formula(self):
         # C(v) = (-1)^sum(v) / (2^(a-1) a!) * prod binom(a_i, v_i)
