@@ -34,9 +34,11 @@ decision and emits a flat list of steps: transform one axis, multiply by
 an array, or apply a composed block. The executor is one loop over those
 steps, so the work of a plan can be counted without running it:
 
-1. adjacent gates that commute exactly are fused: same-kind additive
-   gates on the same modes add their parameters and vanish when the sum
-   is exactly zero, and an adjacent F/FDAG pair on one mode cancels;
+1. gates that commute exactly are fused: a gate meets the latest kept
+   gate that shares a mode with it, past gates on disjoint modes; two
+   same-kind additive gates on the same modes add their parameters and
+   vanish when the sum is exactly zero, and an F/FDAG pair on one mode
+   cancels;
 2. each distinct fused gate is lowered to its ops once per call, so a
    repetitive product-formula circuit builds only a handful of tables;
 3. the compiler tracks the basis of every axis and transforms an axis
@@ -46,19 +48,24 @@ steps, so the work of a plan can be counted without running it:
    k changes basis, every other axis it touches keeps one basis, and at
    least one axis stays untouched -- acts on k as one N x N matrix per
    fiber of its other touched axes, the same for every index of the
-   untouched ones. A block composes when (a) its ops and entry basis
-   recur in the plan, (b) it holds more than N/8 transforms, which cost
-   well over one batched matmul, and (c) the state and the distinct
-   blocks' matrices fit under MEMORY_CAP_BYTES. Its matrices are
-   built once per call, while compiling: the same scheduler compiles the
-   block's ops from its entry and fixed bases, and the executor runs
-   those steps in place on the identity. Every occurrence is then one
-   matmul, a chunk of fibers at a time, after the one switch each fixed
-   axis needs. On the 4-mode coupled-quartic plan (20 steps) 60 matmuls
-   replace 1,480 of the 1,604 transforms on the state, and 3 builds take
-   74 transforms; the state moves by about 1e-14 relative. The 2-axis
-   product formulas repeat only blocks of at most 3 transforms, below the
-   bar for N >= 32, so their plans run as before, bit for bit;
+   untouched ones. A block scan restarts past the first ops of a block
+   when it then reaches further (``_blocks``), and blocks X, Y, Z on axes
+   k, j, k that hold the same fixed bases run as X, Z, Y, since Y and Z
+   commute exactly, so X then Z is one block (``_commuted``). A block
+   composes when (a) its ops and entry basis recur in the plan, (b) it
+   holds more than N/8 transforms, which cost well over one batched
+   matmul, and (c) the state and the distinct blocks' matrices fit under
+   MEMORY_CAP_BYTES. Its matrices are built once per call, while
+   compiling: the same scheduler compiles the block's ops from its entry
+   and fixed bases, and the executor runs those steps in place on the
+   identity. Every occurrence is then one matmul, a chunk of fibers at a
+   time, after the one switch each fixed axis needs. On the 4-mode
+   coupled-quartic plan (20 steps) each step runs one block on x3 and one
+   on x4: 40 matmuls by 2 distinct matrices replace 1,520 of the 1,604
+   transforms on the state, none of x3 or x4 is left, and 2 builds take
+   76 transforms; the state moves by about 2e-14 relative. 2-axis plans are never reordered, and their product formulas
+   repeat only blocks of at most 3 transforms, below the bar for N >= 32,
+   so they run as before, bit for bit;
 5. when the process may run on more than one CPU, each stretch of
    transforms and multiplies between composed blocks whose work (grid
    points times steps) reaches SLAB_MIN_WORK runs as one slab step: the
@@ -66,11 +73,14 @@ steps, so the work of a plan can be counted without running it:
    transforms, and the calling thread and one worker thread each run the
    stretch on one half, with the tables sliced to it. Every 1-D transform
    and every multiply touches only its own half, so slab execution is
-   bitwise equal to serial execution; composed blocks stay serial.
+   bitwise equal to serial execution. A block's build runs the same way,
+   halved along the lowest of its fixed axes and its column axis, which
+   its steps never transform; the matmuls that apply a composed block stay serial, since
+   splitting them between the two threads measured no gain.
 
-Fusion, basis tracking and composed blocks change results by roundoff
-only (about 1e-13 relative against gate-by-gate execution) and never
-change the synthesized circuit itself. A plan runs on a copy of the
+Fusion, reordering, basis tracking and composed blocks change results by
+roundoff only (about 1e-13 relative against gate-by-gate execution) and
+never change the synthesized circuit itself. A plan runs on a copy of the
 caller's state, which is never written. A state that is not finite after
 a plan raises BlowUpError.
 
@@ -229,11 +239,6 @@ class GridState:
                 f"amplitude shape {self.psi.shape} does not match grid {self.spec.shape}"
             )
 
-    def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.spec.cell_volume)
-        )
-
 
 @dataclass
 class DensityGrid:
@@ -349,26 +354,31 @@ def _ifft(psi: np.ndarray, axis: int) -> np.ndarray:
 
 
 def fuse_gates(gates: Iterable[Gate]) -> list[Gate]:
-    """Merge neighbours that commute exactly; the product is unchanged.
+    """Merge gates that commute exactly; the product is unchanged.
 
-    Adjacent gates of one additive kind on the same modes become one gate
-    with the summed parameter (none when the sum is exactly zero), and an
-    adjacent F/FDAG pair on one mode cancels. A merge can expose a new
-    neighbour, so the surviving gates are kept on a stack.
+    A gate meets the latest kept gate that shares a mode with it, past
+    kept gates on disjoint modes, which commute with it. When that gate is
+    on the same modes and of the same additive kind, the two become one
+    gate, in the earlier one's place, with the summed parameter (none when
+    the sum is exactly zero); when the two are an F/FDAG pair on one mode,
+    both go. A removal exposes the gate before it to the next gate.
     """
     kept: list[Gate] = []
     for gate in gates:
-        if kept and kept[-1].modes == gate.modes:
-            last = kept[-1]
-            if last.kind is gate.kind and gate.kind in _ADDITIVE:
-                total = last.param + gate.param
+        modes, i = set(gate.modes), len(kept) - 1
+        while i >= 0 and modes.isdisjoint(kept[i].modes):
+            i -= 1
+        if i >= 0 and kept[i].modes == gate.modes:
+            met = kept[i]
+            if met.kind is gate.kind and gate.kind in _ADDITIVE:
+                total = met.param + gate.param
                 if total == 0.0:
-                    kept.pop()
+                    del kept[i]
                 else:
-                    kept[-1] = Gate(gate.kind, gate.modes, total)
+                    kept[i] = Gate(gate.kind, gate.modes, total)
                 continue
-            if {last.kind, gate.kind} == _FOURIER_PAIR:
-                kept.pop()
+            if {met.kind, gate.kind} == _FOURIER_PAIR:
+                del kept[i]
                 continue
         kept.append(gate)
     return kept
@@ -423,8 +433,9 @@ def _lower(spec: GridSpec, gate: Gate) -> list[_Op]:
 
 
 def _lower_plan(spec: GridSpec, gates: Iterable[Gate]) -> list[_Op]:
-    """Fuse the gates and lower each distinct fused gate once; the op list
-    holds every table, so their ids stay stable while it lives."""
+    """Fuse the gates, lower each distinct fused gate once and order the
+    ops by ``_commuted``; the op list holds every table, so their ids stay
+    stable while it lives."""
     tables: dict[Gate, list[_Op]] = {}
     ops: list[_Op] = []
     for gate in fuse_gates(gates):
@@ -432,7 +443,7 @@ def _lower_plan(spec: GridSpec, gates: Iterable[Gate]) -> list[_Op]:
         if lowered is None:
             lowered = tables[gate] = _lower(spec, gate)
         ops.extend(lowered)
-    return ops
+    return _commuted(spec.num_modes, ops)
 
 
 class _Block(NamedTuple):
@@ -452,32 +463,38 @@ class _Block(NamedTuple):
     key: tuple
 
 
-def _blocks(num_modes: int, ops: Sequence[_Op]) -> list[_Block]:
-    """The plan's maximal single-axis blocks that transform their axis.
+class _Scan(NamedTuple):
+    """The stretch of ops ``start:stop`` that one block scan took: its
+    ``block``, if its axis changed basis, the bases every axis is left in,
+    and the ``restarts``: ``(op, bases before it)`` just after each op of
+    the block's head, before its axis first moved, that touched another
+    axis."""
 
-    A block ends before an op that would move a second axis, or an axis it
-    holds fixed, to the other basis, and before it would touch every axis.
-    The first op of a block that touches a fixed axis may need it in the
-    other basis: that switch is done once, before the block, which is exact
-    because no earlier op of the block touches the axis.
+    stop: int
+    block: _Block | None
+    bases: list[bool]
+    restarts: list[tuple[int, list[bool]]]
+
+
+def _scan(num_modes: int, ops: Sequence[_Op], start: int, bases: list[bool]) -> _Scan:
+    """Grow one block from op ``start``, with the axes in ``bases``.
+
+    The block ends before an op that would move a second axis, or an axis
+    it holds fixed, to the other basis, and before it would touch every
+    axis; the last op of ``ops`` must touch every axis. The first op of a
+    block that touches a fixed axis may need it in the other basis: that
+    switch is done once, before the block, which is exact because no
+    earlier op of the block touches the axis.
     """
-    blocks: list[_Block] = []
-    in_momentum = [False] * num_modes
-    start, axis, held = 0, None, {}
-    entry, switches = list(in_momentum), [0] * num_modes
-    # an op that touches every axis closes the last block
-    end = _Op(tuple((a, False) for a in range(num_modes)), None)
-    for i, (needs, _) in enumerate([*ops, end]):
+    in_momentum, entry = list(bases), list(bases)
+    axis, held, switches, head = None, {}, [0] * num_modes, []
+    for i in range(start, len(ops)):
+        needs = ops[i].needs
         moving = [a for a, momentum in needs if a != axis and held.get(a, momentum) != momentum]
         touched = held.keys() | {a for a, _ in needs} | {axis} - {None}
         if len(moving) > (axis is None) or (i > start and len(touched) == num_modes):
-            if axis is not None:
-                key = (axis, entry[axis], *(id(table) for _, table in ops[start:i]))
-                blocks.append(_Block(start, i, axis, entry[axis], in_momentum[axis],
-                                     switches[axis], tuple(sorted(held.items())), key))
-            start, axis, held = i, None, {}
-            entry, switches = list(in_momentum), [0] * num_modes
-        elif moving:
+            break
+        if moving:
             axis = moving[0]
             del held[axis]
         for a, momentum in needs:
@@ -485,7 +502,73 @@ def _blocks(num_modes: int, ops: Sequence[_Op]) -> list[_Block]:
                 held.setdefault(a, momentum)
             switches[a] += in_momentum[a] != momentum
             in_momentum[a] = momentum
+        if axis is None:
+            head.append((i + 1, list(in_momentum), {a for a, _ in needs}))
+    if axis is None:
+        return _Scan(i, None, in_momentum, [])
+    key = (axis, entry[axis], *(id(table) for _, table in ops[start:i]))
+    block = _Block(start, i, axis, entry[axis], in_momentum[axis], switches[axis],
+                   tuple(sorted(held.items())), key)
+    return _Scan(i, block, in_momentum,
+                 [(after, before) for after, before, axes in head if axes - {axis}])
+
+
+def _blocks(num_modes: int, ops: Sequence[_Op]) -> list[_Block]:
+    """The plan's maximal single-axis blocks that transform their axis.
+
+    Blocks are scanned greedily, each from the op that ended the last. A
+    block's head is its ops before its axis first changes basis. When a
+    scan restarted just after a head op that touches another axis (say, a
+    kick on an axis that a later op needs in the other basis) reaches
+    further, it is taken, and the ops before the restart run outside any
+    block; they switch no basis of the block's axis, so the block keeps
+    every transform.
+    """
+    blocks: list[_Block] = []
+    # an op that touches every axis closes the last block
+    ops = [*ops, _Op(tuple((a, False) for a in range(num_modes)), None)]
+    start, bases = 0, [False] * num_modes
+    while start < len(ops) - 1:
+        scan = _scan(num_modes, ops, start, bases)
+        while True:
+            rescans = (_scan(num_modes, ops, after, before) for after, before in scan.restarts)
+            further = next((again for again in rescans if again.stop > scan.stop), None)
+            if further is None:
+                break
+            scan = further
+        if scan.block:
+            blocks.append(scan.block)
+        start, bases = scan.stop, scan.bases
     return blocks
+
+
+def _commuted(num_modes: int, ops: list[_Op]) -> list[_Op]:
+    """The ops with every adjacent run of blocks X, Y, Z, where X and Z
+    act on one axis, Y on another and all three hold the same fixed axes
+    in the same bases, run as X, Z, Y.
+
+    Such Y and Z are both diagonal in the fixed axes and act on different
+    axes, so they commute exactly; Y leaves X's axis alone, so Z enters in
+    the basis X leaves, and X then Z scan as one block. The runs are found
+    in one pass. 2-axis plans keep their order: the product formulas' blocks
+    there hold at most 3 transforms, too few to compose for N >= 32, so a
+    new order would only move their results by roundoff.
+    """
+    if num_modes < 3:
+        return ops
+    blocks = _blocks(num_modes, ops)
+    out: list[_Op] = []
+    done, i = 0, 0
+    while i + 2 < len(blocks):
+        x, y, z = blocks[i:i + 3]
+        if (x.stop == y.start and y.stop == z.start and x.axis == z.axis != y.axis
+                and x.fixed == y.fixed == z.fixed):
+            out += ops[done:x.stop] + ops[z.start:z.stop] + ops[y.start:y.stop]
+            done = z.stop
+            i += 3
+        else:
+            i += 1
+    return out + ops[done:]
 
 
 def _composed_blocks(spec: GridSpec, ops: Sequence[_Op]) -> dict[int, _Block]:
@@ -524,7 +607,10 @@ def _composed_blocks(spec: GridSpec, ops: Sequence[_Op]) -> dict[int, _Block]:
 def _block_matrices(spec: GridSpec, block: _Block, steps: list) -> np.ndarray:
     """A block's operator as one N x N matrix per fiber of its fixed axes,
     shape ``(N,) * len(block.fixed) + (N, N)``: the block's own steps,
-    scheduled from its entry and fixed bases, run in place on the identity."""
+    scheduled from its entry and fixed bases, run in place on the identity,
+    as one slab step when the process may run on more than one CPU: the
+    steps transform only the block's axis, so the build is bitwise equal to
+    a serial one."""
     n, k = spec.points_per_mode, block.axis
     fixed = [axis for axis, _ in block.fixed]
     untouched = [a for a in range(spec.num_modes) if a != k and a not in fixed]
@@ -534,6 +620,9 @@ def _block_matrices(spec: GridSpec, block: _Block, steps: list) -> np.ndarray:
     # column index on the first untouched axis, the others of length one.
     labels = fixed + [k] + untouched
     view = matrices.reshape(matrices.shape + (1,) * (len(untouched) - 1))
+    if _cpus() > 1:
+        # the first full-length axis of the view that no step transforms
+        steps = _as_slab(spec, steps, min(fixed + untouched[:1]), matrices.size)
     _execute(steps, view.transpose(np.argsort(labels)))
     return matrices
 
@@ -657,12 +746,14 @@ def _slabs(spec: GridSpec, steps: list) -> list:
     return out + _as_slab(spec, stretch, axis)
 
 
-def _as_slab(spec: GridSpec, stretch: list, axis: int | None) -> list:
+def _as_slab(spec: GridSpec, stretch: list, axis: int | None,
+             points: int | None = None) -> list:
     """One stretch as a slab step along ``axis`` (axis 0 when it has no
-    transform); a stretch whose work, grid points times steps, is below
-    SLAB_MIN_WORK, or with no such axis, runs whole."""
+    transform), on an array of ``points`` values (the state's by default);
+    a stretch whose work, points times steps, is below SLAB_MIN_WORK, or
+    with no such axis, runs whole."""
     axis = axis or 0
-    work = len(stretch) * spec.points_per_mode ** spec.num_modes
+    work = len(stretch) * (points or spec.points_per_mode ** spec.num_modes)
     if work < SLAB_MIN_WORK or axis >= spec.num_modes:
         return stretch
     half = spec.points_per_mode // 2

@@ -33,6 +33,7 @@ from kvnsim.oracle import (
 from kvnsim.phasepoly import PhasePolynomial, parse_polynomial
 from kvnsim.synth import Gate, GateKind, synthesize_term, trotter_circuit
 from kvnsim.weyl import verify_key_decomposition, verify_liouvillian_product_rule
+from test_grid import norm
 
 HO_TEXT = "1/2 * x2^2 + 1/2 * x1^2"
 QUARTIC_TEXT = "1/2 * x2^2 + 1/2 * x1^2 + 1/40 * x1^4"
@@ -225,7 +226,7 @@ def test_c7_unitarity_and_fourier_relations():
         Gate(GateKind.FOURIER, (0,)),
         Gate(GateKind.FOURIER_INVERSE, (1,)),
     ]
-    worst_drift = max(abs(apply_gate(state, g).norm() - 1.0) for g in gates)
+    worst_drift = max(abs(norm(apply_gate(state, g)) - 1.0) for g in gates)
     assert worst_drift <= 1e-12
 
     spec1 = GridSpec(num_modes=1, points_per_mode=128, half_extent=8.0)
