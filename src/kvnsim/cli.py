@@ -33,6 +33,7 @@ from .expansion import admissible_exponent_triples
 from .gaussian import GaussianState, evolve_gaussian
 from .grid import (
     MEMORY_CAP_BYTES,
+    TEXT_CHUNK,
     DensityGrid,
     GridSpecError,
     apply_sequence,
@@ -55,6 +56,10 @@ EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_THRESHOLD = 3
 EXIT_BLOWUP = 4
+
+# Cells of density text formatted and written per piece, about 2.7 MB of
+# text: a file's text is never held whole (a 32^4 density is 42 MB of it).
+CSV_PIECE_CELLS = 32 * TEXT_CHUNK
 
 
 def _product_rule_battery() -> list[tuple[str, bool]]:
@@ -169,8 +174,15 @@ def _make_output_dir(out_dir: Path) -> None:
         raise ConfigError(f"outputs: cannot create the directory {out_dir}: {exc}") from exc
 
 
+def _write_density(density: DensityGrid, path: Path) -> None:
+    """Write the density's CSV one piece of CSV_PIECE_CELLS cells at a time."""
+    with open(path, "wb") as handle:
+        for start in range(0, density.values.size, CSV_PIECE_CELLS):
+            handle.write(density_to_csv(density, start, start + CSV_PIECE_CELLS))
+
+
 def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
-    (out_dir / "density.csv").write_bytes(density_to_csv(result.density))
+    _write_density(result.density, out_dir / "density.csv")
     (out_dir / "moments.csv").write_bytes(moments_to_csv(result.mean, result.cov, result.metrics))
     if result.samples is not None:
         (out_dir / "samples.csv").write_bytes(samples_to_csv(result.samples))
@@ -239,7 +251,7 @@ def cmd_verify(args) -> int:
         result = _run_evolution(config)
         _write_outputs(result, config.outputs)
         reference_density = pending.result()
-    (config.outputs / "reference_density.csv").write_bytes(density_to_csv(reference_density))
+    _write_density(reference_density, config.outputs / "reference_density.csv")
     comparison = compare_densities(result.density, reference_density)
     moment_err = float(np.linalg.norm(comparison.first_moment_error))
     print(f"total variation: {comparison.total_variation:.6f} "

@@ -91,18 +91,19 @@ numpy's FFT is bitwise equal to ``scipy.fft`` at N = 16, 64, 256 and
 1024 and within about 2e-16 relative at N = 32 and 128, and momenta come
 from ``np.fft.fftfreq``, bitwise equal to scipy's.
 
-The CSV writers return each file's ASCII bytes as one bytearray, which
-they grow TEXT_CHUNK cells (or SAMPLE_ROWS sample rows) at a time, so a
-file's text is held once: a 32^4 density is 42 MB of text next to 17 MB
-of amplitudes. Every value prints as its repr, but no Python call formats
-one: ``floattext``, a numpy port of Schubfach (Giulietti, 2020), finds the
-shortest round-trip digits of a whole chunk in uint64 arithmetic, table
-lookups lay them into fixed NUL-padded slots of a uint64 row matrix beside
-the cached coordinate text, and one bytes.translate deletes the NULs. The
-writers import it on first use, so commands that write no CSV never
-compile it. The text is repr's byte for byte; tests compare random bit
-patterns of every class, every power of two, the notation switches and
-the non-finite values. On the benchmark's 32^4 density the writer takes
+The CSV writers return ASCII bytes as one bytearray, which they grow
+TEXT_CHUNK cells (or SAMPLE_ROWS sample rows) at a time. density_to_csv
+returns any range of cells, so a 32^4 density, 42 MB of text next to
+17 MB of amplitudes, can be written a piece at a time. Every value
+prints as its repr, but no Python call formats one: ``floattext``, a
+numpy port of Schubfach (Giulietti, 2020), finds the shortest round-trip
+digits of a whole chunk in uint64 arithmetic, table lookups lay them
+into fixed NUL-padded slots of a uint64 row matrix beside the cached
+coordinate text, and one bytes.translate deletes the NULs. The writers
+import it on first use, so commands that write no CSV never compile it.
+The text is repr's byte for byte; tests compare random bit patterns of
+every class, every power of two, the notation switches and the
+non-finite values. On the benchmark's 32^4 density the writer takes
 about 0.35 s, where a repr per value took 1.0 s (2 vCPUs).
 
 The grid is an emulation device: extent and resolution are engineering
@@ -315,13 +316,13 @@ def prepare_gaussian(
 # -- compiled gate execution ---------------------------------------------------
 
 
-# Kinds whose adjacent gates on the same modes compose by adding parameters.
+# Kinds whose adjacent gates on the same modes compose by adding parameters;
+# not R, whose shear splits R(a) R(b) and R(a + b) differ by aliasing.
 _ADDITIVE = frozenset({
     GateKind.MOMENTUM_DISPLACEMENT,
     GateKind.QUADRATIC_PHASE,
     GateKind.CUBIC_PHASE,
     GateKind.QUARTIC_PHASE,
-    GateKind.ROTATION,
     GateKind.CONTROLLED_Z,
     GateKind.CONTROLLED_X,
 })
@@ -964,25 +965,29 @@ def measure_positions(density: DensityGrid, num_samples: int, seed: int) -> np.n
     return samples
 
 
-def density_to_csv(density: DensityGrid) -> bytearray:
+def density_to_csv(density: DensityGrid, start: int = 0, stop: int | None = None) -> bytearray:
     """One row per grid cell, in C order: coordinates then the density value.
 
-    Returns the file's ASCII bytes. The cells are written TEXT_CHUNK at a
-    time into one matrix of uint64 words, a row per cell: the text of
-    each coordinate, formatted once per axis value, then the density
-    value's, both NUL-padded (``floattext.float_text``). Deleting the NULs
-    of the matrix gives the rows' text, which is appended to the result,
-    so the text is held once.
+    Returns the ASCII bytes of cells [start, stop), all by default, after
+    the header row when start is 0 (an empty range is empty), so
+    consecutive ranges join into the file.
+    The cells are written TEXT_CHUNK at a time into one matrix of uint64
+    words, a row per cell: the text of each coordinate, formatted once per
+    axis value, then the density value's, both NUL-padded
+    (``floattext.float_text``). Deleting the NULs of the matrix gives the
+    rows' text, which is appended to the result, so the text is held once.
     """
     # compiled on first use: commands that write no CSV never load it
     from .floattext import FLOAT_WORDS, NEWLINE, float_cells, float_text
 
     spec = density.spec
     d = spec.num_modes
-    out = bytearray((",".join(f"x{i + 1}" for i in range(d)) + ",density\n").encode())
+    values = np.ascontiguousarray(density.values, dtype=np.float64).ravel()
+    stop = values.size if stop is None else min(stop, values.size)
+    header = (",".join(f"x{i + 1}" for i in range(d)) + ",density\n").encode()
+    out = bytearray(header if start == 0 < stop else b"")
     cells = float_cells(spec.positions(), b",")
     width = cells.shape[1]
-    values = np.ascontiguousarray(density.values, dtype=np.float64).ravel()
     n = spec.points_per_mode
     matrix = np.zeros((TEXT_CHUNK, d * width + FLOAT_WORDS), np.uint64)
     cell = np.arange(TEXT_CHUNK)
@@ -991,15 +996,15 @@ def density_to_csv(density: DensityGrid) -> bytearray:
         stride = n ** (d - 1 - axis)  # cell i sits at index i // stride % n of the axis
         columns = matrix[:, axis * width:(axis + 1) * width]
         if stride * n <= TEXT_CHUNK:  # a pattern that every chunk repeats
-            np.take(cells, cell // stride % n, axis=0, out=columns, mode="clip")
+            np.take(cells, (cell + start) // stride % n, axis=0, out=columns, mode="clip")
         else:
             changing.append((stride, columns))
-    for start in range(0, values.size, TEXT_CHUNK):
-        rows = matrix[:min(TEXT_CHUNK, values.size - start)]
+    for first in range(start, stop, TEXT_CHUNK):
+        rows = matrix[:min(TEXT_CHUNK, stop - first)]
         for stride, columns in changing:
-            index = (cell[:len(rows)] + start) // stride % n
+            index = (cell[:len(rows)] + first) // stride % n
             np.take(cells, index, axis=0, out=columns[:len(rows)], mode="clip")
-        float_text(values[start:start + len(rows)], rows[:, d * width:])
+        float_text(values[first:first + len(rows)], rows[:, d * width:])
         rows[:, -1] |= NEWLINE
         out += rows.tobytes().translate(None, b"\0")
     return out

@@ -8,13 +8,14 @@ main suite as well.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 from kvnsim import cli
 from kvnsim.config import ExperimentConfig, config_from_dict
-from kvnsim.grid import GridSpec, apply_gate, prepare_gaussian
+from kvnsim.grid import TEXT_CHUNK, GridSpec, apply_gate, prepare_gaussian
 from kvnsim.oracle import (
     ClassicalEnsemble,
     FlowMap,
@@ -26,6 +27,7 @@ from kvnsim.phasepoly import PhasePolynomial
 from kvnsim.synth import Gate, GateKind, GateSequence, trotter_circuit
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+TRACING_PY = WORKLOADS_PY.with_name("tracing.py")
 
 
 def layer_spans() -> dict[str, tuple[str, ...]]:
@@ -34,6 +36,14 @@ def layer_spans() -> dict[str, tuple[str, ...]]:
     (value,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYER_SPANS"])
     return ast.literal_eval(value)
+
+
+def counted_spans() -> list[str]:
+    """The span names in the ``COUNTERS`` literal of the benchmark's tracer."""
+    tree = ast.parse(TRACING_PY.read_text())
+    (value,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["COUNTERS"])
+    return [ast.literal_eval(key) for key in value.keys]
 
 
 # spans the tracer opens itself or around a method, not around a cli binding
@@ -56,6 +66,42 @@ def test_cli_binds_each_traced_function_under_its_span_name(span):
     assert getattr(cli, name) is own
     assert own.__module__ == f"kvnsim.{module}" and own.__name__ == name
     assert inspect.isfunction(own)
+
+
+@pytest.mark.parametrize("span", counted_spans())
+def test_cli_binds_each_counted_function(span):
+    # the tracer counts only calls made through cli's namespace
+    module, name = span.split(".")
+    assert getattr(cli, name) is getattr(importlib.import_module(f"kvnsim.{module}"), name)
+
+
+def test_export_bytes_sum_to_the_density_file(tmp_path, monkeypatch):
+    # the tracer records len() of each density_to_csv result as
+    # grid.export_bytes; the pieces must add up to the file
+    lengths, own = [], cli.density_to_csv
+
+    def traced(*args, **kwargs):
+        result = own(*args, **kwargs)
+        lengths.append(len(result))
+        return result
+
+    monkeypatch.setattr(cli, "density_to_csv", traced)
+    monkeypatch.setattr(cli, "CSV_PIECE_CELLS", 2 * TEXT_CHUNK)
+    config = {
+        "version": 1,
+        "hamiltonian": {"n": 1, "H": "1/2 * x2^2 + 1/2 * x1^2"},
+        "initial_density": {"mean": [1.0, 0.0], "covariance": [[0.5, 0.0], [0.0, 0.5]]},
+        "grid": {"points_per_mode": 128, "half_extent": 8.0},
+        "evolution": {"t": 1.0, "n_steps": 4, "order": 2},
+        "backend": "grid",
+        "sampling": {"num_samples": 10, "seed": 0},
+        "outputs": str(tmp_path / "out"),
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["evolve", "--config", str(path)]) == 0
+    assert len(lengths) == 4
+    assert sum(lengths) == (tmp_path / "out" / "density.csv").stat().st_size
 
 
 def test_counted_signatures():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from kvnsim.config import ConfigError, config_from_dict, load_config
 from kvnsim.grid import (
     FLOAT_TEXT_BYTES,
     MEMORY_CAP_BYTES,
+    TEXT_CHUNK,
+    DensityGrid,
     GridSpec,
     apply_sequence,
     born_density,
@@ -698,3 +701,49 @@ class TestVerify:
         assert "numerical blow-up: reference" in capsys.readouterr().err
         assert (tmp_path / "v" / "density.csv").exists()
         assert not (tmp_path / "v" / "reference_density.csv").exists()
+
+
+class TestDensityPieces:
+    """evolve and verify write each density CSV CSV_PIECE_CELLS cells at a
+    time, so a file's text is never held whole."""
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_pieces_join_into_the_whole_file(self, tmp_path, monkeypatch, command):
+        # 64^2 = 4,096 cells in pieces of 1,000, which do not start chunks
+        monkeypatch.setattr(cli, "CSV_PIECE_CELLS", 1000)
+        calls = []
+
+        def recorded(density, start, stop):
+            calls.append((density, start, stop))
+            return density_to_csv(density, start, stop)
+
+        monkeypatch.setattr(cli, "density_to_csv", recorded)
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        names = ["density.csv"] + (["reference_density.csv"] if command == "verify" else [])
+        densities = list({id(density): density for density, _, _ in calls}.values())
+        assert len(densities) == len(names)
+        for name, density in zip(names, densities):
+            ranges = [(start, stop) for seen, start, stop in calls if seen is density]
+            assert ranges == [(0, 1000), (1000, 2000), (2000, 3000), (3000, 4000), (4000, 5000)]
+            assert (out / name).read_bytes() == density_to_csv(density)
+
+    def test_writer_holds_one_piece_of_text(self, tmp_path, monkeypatch):
+        # a 16^4 density in 16 pieces: the peak is one piece's text and the
+        # formatter's per-chunk working set (about 200 bytes per cell), not
+        # the file's 2.6 MB
+        monkeypatch.setattr(cli, "CSV_PIECE_CELLS", 4 * TEXT_CHUNK)
+        spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
+        density = DensityGrid(spec, np.random.default_rng(5).random(spec.shape) ** 9)
+        piece = len(density_to_csv(density, TEXT_CHUNK, 5 * TEXT_CHUNK))
+        path = tmp_path / "density.csv"
+        tracemalloc.start()
+        try:
+            cli._write_density(density, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.3 * piece + 256 * TEXT_CHUNK
+        assert peak <= bound < path.stat().st_size / 2
+        assert path.read_bytes() == density_to_csv(density)

@@ -661,6 +661,30 @@ class TestCsvExports:
         peak, size = self.traced_peak(density_to_csv, self.four_mode_density())
         assert peak <= 1.3 * size
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        num_modes=st.integers(2, 4),
+        half_extent=st.sampled_from([4.0, 8.0, 16.0 / 3.0]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(data=None, num_modes=4, half_extent=8.0, seed=0)
+    def test_density_csv_ranges_join_into_the_file(self, data, num_modes, half_extent, seed):
+        # 4,096 cells or more: the first axis's pattern is longer than a
+        # chunk, so its text is taken per chunk, and the last axis's is
+        # filled once per call, offset by the range's start
+        points = {2: 64, 3: 16, 4: 16}[num_modes]
+        spec = GridSpec(num_modes=num_modes, points_per_mode=points, half_extent=half_extent)
+        density = DensityGrid(spec, np.random.default_rng(seed).random(spec.shape) ** 9)
+        size = density.values.size
+        if data is None:  # chunk-aligned cuts and empty ranges, the first at 0
+            cuts = [0, 0, grid.TEXT_CHUNK, grid.TEXT_CHUNK, size, size]
+        else:
+            cuts = [0, *sorted(data.draw(st.lists(st.integers(0, size), max_size=6))), size]
+        pieces = [density_to_csv(density, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert b"".join(pieces) == density_to_csv(density)
+        assert all(piece == b"" for a, b, piece in zip(cuts, cuts[1:], pieces) if a == b)
+
     def test_samples_csv_holds_its_text_once(self):
         samples = np.random.default_rng(4).normal(size=(100_000, 4))
         peak, size = self.traced_peak(samples_to_csv, samples)
@@ -913,6 +937,9 @@ class TestCompiledPlan:
         cz = Gate(GateKind.CONTROLLED_Z, (0, 1), 0.25)
         unfused = [cx, cx_other, cx_rev, cz, f, f]
         assert fuse_gates(unfused) == unfused
+        # R(a) R(b) is R(a + b) only in the continuum, so rotations never merge
+        r = Gate(_R, (1,), 0.5)
+        assert fuse_gates([r, r]) == [r, r]
         # a gate fuses past gates on disjoint modes, in the earlier gate's place
         kick, other = Gate(_CX, (3, 1), 0.025), Gate(_CX, (2, 0), 0.05)
         assert fuse_gates([kick, other, kick]) == [Gate(_CX, (3, 1), 0.05), other]
@@ -1155,10 +1182,8 @@ class TestCommutingGates:
 
     @settings(max_examples=60, deadline=None)
     @given(seq=random_plans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(seq=GateSequence(2, (Gate(_R, (0,), 0.5),) * 2), seed=0)
     def test_fused_gates_match_the_circuit(self, seq, seed):
-        # R(a) R(b) is R(a + b) in the continuum only: on the grid the two
-        # differ by the discretisation error, so rotations are left out
-        seq = GateSequence(seq.num_modes, tuple(gate for gate in seq if gate.kind is not _R))
         # a summed parameter moves a phase by roundoff of the phase's size,
         # 1.03e-12 relative for a quartic phase of 9,000 rad at x = 8; at
         # |x| <= 2 quartic phases are 256 times smaller
