@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .config import BACKENDS, ConfigError, ExperimentConfig, check_backend, load_config
 from .expansion import admissible_exponent_triples
-from .gaussian import GaussianState, evolve_gaussian
+from .gaussian import evolve_gaussian
 from .grid import (
     MEMORY_CAP_BYTES,
     TEXT_CHUNK,
@@ -133,10 +134,7 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
     spec = config.spec
     samples = None
     if config.backend == "gaussian":
-        state = GaussianState.from_position_density(config.mean, config.covariance)
-        evolved = evolve_gaussian(state, config.kvn, config.t)
-        mean = evolved.position_mean()
-        cov = evolved.position_cov()
+        mean, cov = evolve_gaussian(config.kvn, config.mean, config.covariance, config.t)
         # sampled by the reference's cell sweep, at t = 0: no flow
         rho = gaussian_density(mean, cov)
         density = liouville_density_grid(FlowMap(config.hamiltonian), rho, 0.0, spec)
@@ -174,35 +172,43 @@ def _make_output_dir(out_dir: Path) -> None:
         raise ConfigError(f"outputs: cannot create the directory {out_dir}: {exc}") from exc
 
 
+def _write_file(path: Path, pieces: Iterable[bytes]) -> None:
+    """Write the pieces to the file, holding one at a time; a file that
+    cannot be written is a config error of the outputs."""
+    try:
+        with open(path, "wb") as handle:
+            handle.writelines(pieces)
+    except OSError as exc:
+        raise ConfigError(f"outputs: cannot write {path}: {exc}") from exc
+
+
 def _write_density(density: DensityGrid, path: Path) -> None:
     """Write the density's CSV one piece of CSV_PIECE_CELLS cells at a time."""
-    with open(path, "wb") as handle:
-        for start in range(0, density.values.size, CSV_PIECE_CELLS):
-            handle.write(density_to_csv(density, start, start + CSV_PIECE_CELLS))
+    _write_file(path, (density_to_csv(density, start, start + CSV_PIECE_CELLS)
+                       for start in range(0, density.values.size, CSV_PIECE_CELLS)))
 
 
 def _write_outputs(result: EvolutionResult, out_dir: Path) -> None:
     _write_density(result.density, out_dir / "density.csv")
-    (out_dir / "moments.csv").write_bytes(moments_to_csv(result.mean, result.cov, result.metrics))
+    _write_file(out_dir / "moments.csv", [moments_to_csv(result.mean, result.cov, result.metrics)])
     if result.samples is not None:
-        (out_dir / "samples.csv").write_bytes(samples_to_csv(result.samples))
+        _write_file(out_dir / "samples.csv", [samples_to_csv(result.samples)])
 
 
 def _configure(args) -> ExperimentConfig:
-    """Load the config, apply the command-line overrides and make the
-    output directory."""
+    """Load the config and apply the command-line overrides."""
     config = load_config(args.config)
     if args.out:
         config.outputs = Path(args.out)
     if args.backend:
         check_backend(args.backend, config.kvn)
         config.backend = args.backend
-    _make_output_dir(config.outputs)
     return config
 
 
 def cmd_evolve(args) -> int:
     config = _configure(args)
+    _make_output_dir(config.outputs)
     result = _run_evolution(config)
     _write_outputs(result, config.outputs)
     mean_text = ", ".join(f"{m:.6g}" for m in result.mean)
@@ -237,6 +243,7 @@ def cmd_verify(args) -> int:
     config = _configure(args)
     flow = FlowMap(config.hamiltonian)
     _check_reference_steps(config.t, flow.dt)
+    _make_output_dir(config.outputs)
     rho0 = gaussian_density(config.mean, config.covariance)
     errstate = np.geterr()
 

@@ -180,7 +180,8 @@ class KvNHamiltonian:
 
     def is_quadratic(self) -> bool:
         """True when every generator is at most quadratic, i.e. the induced
-        flow on quadrature means and covariances is linear."""
+        flow of the position quadratures is affine in them, and carries a
+        Gaussian density's mean and covariance exactly."""
         return all(t.factor.degree() <= 1 for t in self.terms)
 
     def dump(self) -> str:

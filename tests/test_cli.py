@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -291,7 +293,8 @@ class TestExitCodes:
         assert code == 2
         assert "config error: evolution.t:" in err and "memory cap" in err
         assert "Traceback" not in err
-        assert not list((tmp_path / "v").glob("*.csv"))
+        # rejected before the output directory is made
+        assert not (tmp_path / "v").exists()
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
 
     @pytest.mark.parametrize("dt", [0.25, 1.0])
@@ -320,6 +323,42 @@ class TestExitCodes:
         assert "Traceback" not in err
         # the directory is checked before any evolution runs
         assert evolved == []
+
+    @pytest.mark.parametrize("command, name", [
+        ("evolve", "density.csv"), ("evolve", "moments.csv"), ("evolve", "samples.csv"),
+        ("verify", "density.csv"), ("verify", "samples.csv"),
+        ("verify", "reference_density.csv"),
+    ])
+    def test_output_file_that_cannot_be_written_exit_code(self, tmp_path, capsys, command, name):
+        # a directory in the file's place: opening it raises IsADirectoryError
+        cfg = write_config(tmp_path / "c.json", grid={"points_per_mode": 16},
+                           evolution={"n_steps": 2})
+        (tmp_path / "v" / name).mkdir(parents=True)
+        before = set(threading.enumerate())
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: outputs: cannot write {tmp_path / 'v' / name}:" in err
+        assert "Traceback" not in err
+        # the reference's worker has been joined
+        left = set(threading.enumerate()) - before
+        assert all(t.name.startswith("kvnsim-slab") for t in left), left
+
+    @pytest.mark.parametrize("backend", ["grid", "gaussian"])
+    @pytest.mark.parametrize("covariance, problem", [
+        ([[0.5, 0.1], [0.0, 0.5]], "symmetric"),
+        ([[0.5, 0.0], [0.0, -0.5]], "positive definite"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_covariance_that_is_not_one_exit_code(
+            self, tmp_path, capsys, covariance, problem, backend):
+        cfg = write_config(tmp_path / "c.json", initial_density={"covariance": covariance},
+                           backend=backend)
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: initial_density.covariance: covariance must be {problem}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "v").exists()
 
     def test_unreadable_config_path_exit_code(self, tmp_path, capsys):
         # a directory: reading it raises IsADirectoryError, an OSError
@@ -425,6 +464,22 @@ class TestImports:
 
     def test_identities_starts_no_thread_pool(self):
         run_fresh(["identities"], "concurrent.futures")
+
+    def test_declared_dependencies_are_the_imported_packages(self):
+        # pyproject.toml's [project] dependencies name exactly the
+        # third-party packages kvnsim imports, at load or inside a function
+        tomllib = pytest.importorskip("tomllib")
+        root = QUARTIC_CONFIG.parent.parent
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        declared = {re.match(r"[\w.-]+", spec).group().lower() for spec in project["dependencies"]}
+        imported = set()
+        for path in (root / "src" / "kvnsim").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert imported - set(sys.stdlib_module_names) - {"kvnsim"} == declared
 
 
 class TestEvolve:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvnsim.expansion import (
@@ -20,6 +20,7 @@ from kvnsim.synth import (
     synthesize_term,
     trotter_circuit,
 )
+from kvnsim.weyl import I, WeylPolynomial, adjoint_series
 
 
 def cx_via_cz(j: int, k: int, s: float, num_modes: int) -> GateSequence:
@@ -62,6 +63,81 @@ def parse_gates(text: str, num_modes: int | None = None) -> GateSequence:
     if num_modes is None:
         num_modes = 1 + max((max(g.modes) for g in gates), default=0)
     return GateSequence(num_modes, tuple(gates))
+
+
+def quadratures(m: int) -> list[WeylPolynomial]:
+    """X_0..X_(m-1), P_0..P_(m-1), in the order of a Weyl multi-index."""
+    return [WeylPolynomial.x(m, j) for j in range(m)] + [WeylPolynomial.p(m, j) for j in range(m)]
+
+
+def substitute(poly: WeylPolynomial, images: list[WeylPolynomial]) -> WeylPolynomial:
+    """The image of a normal-ordered polynomial under the algebra map that
+    sends each quadrature to its image (the order of ``quadratures``)."""
+    out = WeylPolynomial.zero(poly.num_modes)
+    for expo, coeff in poly.terms.items():
+        monomial = WeylPolynomial.constant(poly.num_modes, coeff)
+        for image, e in zip(images, expo):
+            if e:
+                monomial = monomial * image ** e
+        out = out + monomial
+    return out
+
+
+def heisenberg_images(seq: GateSequence) -> list[WeylPolynomial]:
+    """U^dag O U, exactly, for the circuit U of the gates (leftmost applied
+    first) and every quadrature O, each gate strength read as the Fraction
+    of its float."""
+    m = seq.num_modes
+    q = quadratures(m)
+    images = list(q)
+    for gate in reversed(seq.gates):
+        t = gate.modes[-1]
+        if gate.kind in (GateKind.FOURIER, GateKind.FOURIER_INVERSE):
+            # F = R(pi/2) maps X -> -P and P -> X; FDAG the other way
+            sign = 1 if gate.kind is GateKind.FOURIER else -1
+            swap = list(q)
+            swap[t], swap[m + t] = q[m + t] * -sign, q[t] * sign
+            images = [substitute(image, swap) for image in images]
+            continue
+        # the gate is exp(iG), so it conjugates by the series of -iG
+        s = Fraction(gate.param)
+        if gate.kind is GateKind.CONTROLLED_X:
+            g = q[gate.modes[0]] * q[m + t] * -s
+        elif gate.kind is GateKind.CUBIC_PHASE:
+            g = q[t] ** 3 * (s / 3)
+        else:  # D(s) = exp(i s X) or Q(s) = exp(i s X^4)
+            g = q[t] ** {GateKind.MOMENTUM_DISPLACEMENT: 1, GateKind.QUARTIC_PHASE: 4}[gate.kind] * s
+        images = [adjoint_series(g * -I, image)[0] for image in images]
+    return images
+
+
+def term_mismatch(seq: GateSequence, term: KvNTerm, s: float) -> float:
+    """Largest coefficient of the circuit's quadrature images minus those of
+    exp(-i s sign factor(X) P_mode), relative to the largest of the latter."""
+    q = quadratures(term.num_modes)
+    generator = WeylPolynomial.from_position_polynomial(term.factor) * q[term.num_modes + term.mode]
+    generator = generator * (I * Fraction(s) * term.sign)
+    targets = [adjoint_series(generator, o)[0] for o in q]
+
+    def size(poly: WeylPolynomial) -> float:
+        return max((abs(complex(c.re, c.im)) for c in poly.terms.values()), default=0.0)
+
+    worst = max(size(image - target) for image, target in zip(heisenberg_images(seq), targets))
+    return worst / max(size(target) for target in targets)
+
+
+@st.composite
+def kvn_terms(draw):
+    """A term of 1-2 monomials of degree 0-3 in the other modes, on 2-4 modes."""
+    m = draw(st.integers(2, 4))
+    mode = draw(st.integers(0, m - 1))
+    factor = {}
+    for _ in range(draw(st.integers(1, 2))):
+        expo = [0] * m
+        for _ in range(draw(st.integers(0, 3))):
+            expo[draw(st.sampled_from([j for j in range(m) if j != mode]))] += 1
+        factor[tuple(expo)] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 10)))
+    return KvNTerm(PhasePolynomial(m, factor), mode, draw(st.sampled_from((1, -1))))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -272,6 +348,32 @@ class TestSynthesizeTerm:
         )
         term = next(t for t in build_kvn(h).terms if t.mode == 1 and t.factor.degree() == 1)
         assert len(synthesize_term(term, 0.3)) == 1
+
+
+class TestExactTermImages:
+    """Each synthesized term conjugates every quadrature exactly as its
+    generator does, in exact operator algebra."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(term=kvn_terms(), s=st.floats(-0.5, 0.5))
+    def test_synthesized_term_has_its_generator_images(self, term, s):
+        assert term_mismatch(synthesize_term(term, s), term, s) <= 1e-12
+
+    @pytest.mark.parametrize("kind, replacement", [
+        (GateKind.CONTROLLED_X, lambda g: [Gate(g.kind, g.modes, -g.param)]),
+        (GateKind.CONTROLLED_X, lambda g: [Gate(g.kind, g.modes, 1.01 * g.param)]),
+        (GateKind.FOURIER, lambda g: []),
+        (GateKind.FOURIER_INVERSE, lambda g: [Gate(GateKind.FOURIER, g.modes)]),
+        (GateKind.QUARTIC_PHASE, lambda g: [Gate(g.kind, g.modes, 1.01 * g.param)]),
+    ], ids=["cx-sign-flipped", "cx-1%-off", "f-dropped", "f-for-fdag", "q-1%-off"])
+    def test_mutated_term_misses_its_images(self, kind, replacement):
+        # (1/10) x1^3 on mode 1; the first gate of the kind is replaced
+        term = KvNTerm(PhasePolynomial(2, {(3, 0): Fraction(1, 10)}), 1, 1)
+        gates = list(synthesize_term(term, 0.005).gates)
+        assert term_mismatch(GateSequence(2, tuple(gates)), term, 0.005) <= 1e-12
+        first = next(i for i, g in enumerate(gates) if g.kind is kind)
+        gates[first:first + 1] = replacement(gates[first])
+        assert term_mismatch(GateSequence(2, tuple(gates)), term, 0.005) > 1e-8
 
 
 class TestCxViaCz:
