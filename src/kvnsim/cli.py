@@ -154,7 +154,10 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
         except GridSpecError as exc:
             raise ConfigError.from_grid(exc) from exc
         circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
-        density = born_density(apply_sequence(state, circuit))
+        # the plan runs on the prepared state's array, which nothing else
+        # holds, and the measure stage holds only the density
+        density = born_density(apply_sequence(state, circuit, overwrite_state=True))
+        del state
         mean, cov = position_moments(density)
         if config.num_samples:
             samples = measure_positions(density, config.num_samples, config.seed)

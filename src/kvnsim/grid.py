@@ -54,8 +54,9 @@ steps, so the work of a plan can be counted without running it:
    commute exactly, so X then Z is one block (``_commuted``). A block
    composes when (a) its ops and entry basis recur in the plan, (b) it
    holds more than N/8 transforms, which cost well over one batched
-   matmul, and (c) the state and the distinct blocks' matrices fit under
-   MEMORY_CAP_BYTES. Its matrices are built once per call, while
+   matmul, and (c) one state and the distinct blocks' matrices fit under
+   MEMORY_CAP_BYTES, which is all a plan run in place holds; a copying
+   plan holds one state more. Its matrices are built once per call, while
    compiling: the same scheduler compiles the block's ops from its entry
    and fixed bases, and the executor runs those steps in place on the
    identity. Every occurrence is then one matmul, a chunk of fibers at a
@@ -80,9 +81,11 @@ steps, so the work of a plan can be counted without running it:
 
 Fusion, reordering, basis tracking and composed blocks change results by
 roundoff only (about 1e-13 relative against gate-by-gate execution) and
-never change the synthesized circuit itself. A plan runs on a copy of the
-caller's state, which is never written. A state that is not finite after
-a plan raises BlowUpError.
+never change the synthesized circuit itself. By default a plan runs on a
+copy of the caller's state, which is never written; the CLI, which keeps
+no other reference to its prepared state, lets the plan run on that
+array itself (``overwrite_state``), with the same arithmetic. A state
+that is not finite after a plan raises BlowUpError.
 
 Transforms are numpy's, written in place with ``out=`` so that a slab
 transforms its own half of the state and nothing else; they release the
@@ -577,8 +580,10 @@ def _composed_blocks(spec: GridSpec, ops: Sequence[_Op]) -> dict[int, _Block]:
 
     A block composes when its key occurs at least twice (a block that runs
     once costs about as much to build as to run), when its transforms cost
-    well over one matmul, and while the state and the distinct blocks'
-    matrices fit under MEMORY_CAP_BYTES.
+    well over one matmul, and while one state and the distinct blocks'
+    matrices fit under MEMORY_CAP_BYTES. That is what the CLI holds while
+    its plan runs in place (``apply_sequence(..., overwrite_state=True)``);
+    a copying ``apply_sequence`` or ``apply_gate`` holds one state more.
     """
     n = spec.points_per_mode
     blocks = _blocks(spec.num_modes, ops)
@@ -821,13 +826,17 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_plan(state: GridState, gates: Iterable[Gate]) -> GridState:
-    """Compile a gate list and execute its steps on a copy of the state, in
-    two slabs at once when the process has more than one CPU."""
+def _run_plan(state: GridState, gates: Iterable[Gate],
+              overwrite_state: bool = False) -> GridState:
+    """Compile a gate list and execute its steps, in two slabs at once when
+    the process has more than one CPU, on a copy of the state, or with
+    ``overwrite_state`` on ``state.psi`` itself, which the result then
+    wraps. The copy is one state more than the state and block matrices
+    that ``_composed_blocks`` budgets for."""
     steps = _compile(state.spec, gates)
     if _cpus() > 1:
         steps = _slabs(state.spec, steps)
-    psi = state.psi.copy()
+    psi = state.psi if overwrite_state else state.psi.copy()
     _execute(steps, psi)
     if not np.isfinite(psi).all():
         raise BlowUpError("grid state has non-finite amplitudes")
@@ -843,17 +852,22 @@ def apply_gate(state: GridState, gate: Gate) -> GridState:
     return _run_plan(state, (gate,))
 
 
-def apply_sequence(state: GridState, seq: GateSequence) -> GridState:
-    """Apply a gate sequence (leftmost first); returns a new state.
+def apply_sequence(state: GridState, seq: GateSequence, *,
+                   overwrite_state: bool = False) -> GridState:
+    """Apply a gate sequence (leftmost first); returns the resulting state.
 
-    Raises BlowUpError when the result is not finite.
+    By default the plan runs on a copy, one state more than the memory cap
+    counts, and ``state`` is never written. With ``overwrite_state`` it
+    runs on ``state.psi``, which the returned state shares, with the same
+    arithmetic bit for bit; after an error ``state.psi`` holds partly
+    evolved values. Raises BlowUpError when the result is not finite.
     """
     if seq.num_modes != state.spec.num_modes:
         raise ValueError(
             f"sequence over {seq.num_modes} modes applied to a "
             f"{state.spec.num_modes}-mode state"
         )
-    return _run_plan(state, seq)
+    return _run_plan(state, seq, overwrite_state)
 
 
 def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridState:

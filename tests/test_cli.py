@@ -59,6 +59,24 @@ def config_dict():
     }
 
 
+def coupled4_config(path, points=16, n_steps=20):
+    """The benchmark's coupled 4-mode run, at ``points`` per mode."""
+    return write_config(
+        path,
+        hamiltonian={
+            "n": 2,
+            "H": "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 "
+                 "+ 1/20 * x1^2 * x2^2",
+        },
+        initial_density={
+            "mean": [1.0, 0.5, 0.0, 0.0],
+            "covariance": (0.5 * np.eye(4)).tolist(),
+        },
+        grid={"points_per_mode": points, "half_extent": 8.0},
+        evolution={"t": 1.0, "n_steps": n_steps, "order": 2},
+    )
+
+
 def write_config(path, **overrides):
     data = config_dict()
     data["outputs"] = str(path.parent / "out")
@@ -518,21 +536,7 @@ class TestEvolve:
         assert np.max(np.abs(values - expected.ravel())) <= 1e-12
 
     def test_four_mode_density_csv_matches_in_process_run(self, tmp_path):
-        # the benchmark's coupled 4-mode run at 16 points per mode
-        cfg = write_config(
-            tmp_path / "c.json",
-            hamiltonian={
-                "n": 2,
-                "H": "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 "
-                     "+ 1/20 * x1^2 * x2^2",
-            },
-            initial_density={
-                "mean": [1.0, 0.5, 0.0, 0.0],
-                "covariance": (0.5 * np.eye(4)).tolist(),
-            },
-            grid={"points_per_mode": 16, "half_extent": 8.0},
-            evolution={"t": 1.0, "n_steps": 4, "order": 2},
-        )
+        cfg = coupled4_config(tmp_path / "c.json", n_steps=4)
         out = tmp_path / "run"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "density.csv").read_text().splitlines()
@@ -546,6 +550,32 @@ class TestEvolve:
         state = prepare_gaussian(config.spec, config.mean, config.covariance)
         expected = born_density(apply_sequence(state, circuit)).values
         assert np.array_equal(table[:, 4], expected.ravel())
+
+    def test_grid_evolution_holds_one_state(self, tmp_path, monkeypatch):
+        # Under tracemalloc, in units of one 16^4 state (1.05 MB): the plan
+        # runs on the prepared state with the two block matrices beside it
+        # (peak 4.14; a copy of the state makes it 5.14), and the measure
+        # stage holds the density and no state (0.54 on entry to
+        # position_moments; the state kept alive makes it 1.54). A first,
+        # untraced run makes the imports the command makes on first use.
+        config = load_config(coupled4_config(tmp_path / "c.json"))
+        state_bytes = 16 * 16 ** 4
+        held, own = [], cli.position_moments
+
+        def moments(density):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return own(density)
+
+        monkeypatch.setattr(cli, "position_moments", moments)
+        cli._run_evolution(config)
+        tracemalloc.start()
+        try:
+            cli._run_evolution(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * state_bytes
+        assert held[-1] <= state_bytes
 
     def test_gaussian_backend_exact_moments(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", backend="gaussian")

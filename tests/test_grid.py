@@ -49,12 +49,10 @@ from kvnsim.synth import (
     trotter_circuit,
 )
 from kvnsim.gaussian import evolve_gaussian
-from test_synth import cx_via_cz
+from test_synth import CONFIGS, COUPLED4_H, cx_via_cz
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 QUARTIC_CONFIG = CONFIGS / "quartic.json"
-COUPLED4_H = "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/20 * x1^2 * x2^2"
 
 SPEC1 = GridSpec(num_modes=1, points_per_mode=128, half_extent=8.0)
 SPEC2 = GridSpec(num_modes=2, points_per_mode=128, half_extent=8.0)
@@ -976,14 +974,23 @@ class TestCompiledPlan:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_raises_blow_up(self, bad):
-        state = prepare_gaussian(SPEC2, [0.0, 0.0], 0.5 * np.eye(2))
-        state.psi[3, 5] = bad
         seq = GateSequence(2, (Gate(GateKind.CONTROLLED_X, (0, 1), 0.3),))
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(BlowUpError, match="non-finite"):
-                apply_sequence(state, seq)
-            with pytest.raises(BlowUpError):
-                apply_sequence(state, GateSequence(2))
+        for overwrite_state in (False, True):
+            state = prepare_gaussian(SPEC2, [0.0, 0.0], 0.5 * np.eye(2))
+            state.psi[3, 5] = bad
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(BlowUpError, match="non-finite"):
+                    apply_sequence(state, seq, overwrite_state=overwrite_state)
+                with pytest.raises(BlowUpError):
+                    apply_sequence(state, GateSequence(2), overwrite_state=overwrite_state)
+
+    @pytest.mark.parametrize("name,n_steps", [("quartic", 20), ("harmonic", None),
+                                              ("coupled4", None)])
+    def test_overwriting_plan_equals_copying_plan_bitwise(self, name, n_steps):
+        # quartic's 20 steps hold the slab stretches of its 200, and
+        # coupled4's 20 steps its composed blocks
+        _, state, circuit = shipped_plan(name, n_steps)
+        assert np.array_equal(in_place(state, circuit).psi, apply_sequence(state, circuit).psi)
 
 
 def kvn_of(hamiltonian: str, n: int):
@@ -1003,6 +1010,15 @@ def uncomposed(state: GridState, seq: GateSequence) -> GridState:
         patch.setattr(grid, "MEMORY_CAP_BYTES", state.psi.nbytes)
         patch.setattr(grid, "_commuted", lambda num_modes, ops: ops)
         return apply_sequence(state, seq)
+
+
+def in_place(state: GridState, seq: GateSequence) -> GridState:
+    """apply_sequence with overwrite_state on a copy of the state; the
+    result must hold that copy's array."""
+    copy = GridState(state.spec, state.psi.copy())
+    out = apply_sequence(copy, seq, overwrite_state=True)
+    assert np.shares_memory(out.psi, copy.psi)
+    return out
 
 
 def relative_deviation(a: GridState, b: GridState) -> float:
@@ -1313,6 +1329,7 @@ class TestComposedBlocks:
         planned = apply_sequence(state, seq)
         assert np.array_equal(state.psi, before)
         assert relative_deviation(planned, uncomposed(state, seq)) <= 1e-12
+        assert np.array_equal(in_place(state, seq).psi, planned.psi)
 
     @pytest.mark.parametrize("name", ["empty", "multiply-first", "block-first",
                                       "ends-in-momentum"])

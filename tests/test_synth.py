@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvnsim.config import load_config
 from kvnsim.expansion import (
     ExpansionTerm,
     admissible_exponent_triples,
@@ -111,19 +113,45 @@ def heisenberg_images(seq: GateSequence) -> list[WeylPolynomial]:
     return images
 
 
-def term_mismatch(seq: GateSequence, term: KvNTerm, s: float) -> float:
-    """Largest coefficient of the circuit's quadrature images minus those of
-    exp(-i s sign factor(X) P_mode), relative to the largest of the latter."""
+def term_images(term: KvNTerm, s: float) -> list[WeylPolynomial]:
+    """T^dag O T, exactly, for T = exp(-i s sign factor(X) P_mode) and every
+    quadrature O, with s read as the Fraction of its float."""
     q = quadratures(term.num_modes)
     generator = WeylPolynomial.from_position_polynomial(term.factor) * q[term.num_modes + term.mode]
     generator = generator * (I * Fraction(s) * term.sign)
-    targets = [adjoint_series(generator, o)[0] for o in q]
+    return [adjoint_series(generator, o)[0] for o in q]
+
+
+def images_mismatch(images: list[WeylPolynomial], targets: list[WeylPolynomial]) -> float:
+    """Largest coefficient of the images minus the targets, relative to the
+    largest coefficient of the targets."""
 
     def size(poly: WeylPolynomial) -> float:
         return max((abs(complex(c.re, c.im)) for c in poly.terms.values()), default=0.0)
 
-    worst = max(size(image - target) for image, target in zip(heisenberg_images(seq), targets))
+    worst = max(size(image - target) for image, target in zip(images, targets))
     return worst / max(size(target) for target in targets)
+
+
+def term_mismatch(seq: GateSequence, term: KvNTerm, s: float) -> float:
+    """images_mismatch of the circuit against exp(-i s sign factor(X) P_mode)."""
+    return images_mismatch(heisenberg_images(seq), term_images(term, s))
+
+
+def step_images(kvn, dt: float, order: int) -> list[WeylPolynomial]:
+    """U^dag O U, exactly, for one product-formula step U of the exact term
+    maps: each term for dt in ``kvn.terms`` order (order 1), or each for
+    dt/2 in that order and then in reverse (order 2, Strang). As
+    heisenberg_images does, the maps apply last first, each by substituting
+    its quadrature images into the images so far."""
+    sweep = [(term, dt if order == 1 else dt / 2) for term in kvn.terms]
+    if order == 2:
+        sweep += sweep[::-1]
+    images = quadratures(2 * kvn.n)
+    for term, s in reversed(sweep):
+        maps = term_images(term, s)
+        images = [substitute(image, maps) for image in images]
+    return images
 
 
 @st.composite
@@ -374,6 +402,41 @@ class TestExactTermImages:
         first = next(i for i, g in enumerate(gates) if g.kind is kind)
         gates[first:first + 1] = replacement(gates[first])
         assert term_mismatch(GateSequence(2, tuple(gates)), term, 0.005) > 1e-8
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# The benchmark's coupled 4-mode H, at its 20 steps over t = 1.
+COUPLED4_H = "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/20 * x1^2 * x2^2"
+
+
+def step_of(name: str):
+    """The KvN generator and the step length dt of a shipped config, or of
+    the benchmark's coupled 4-mode run."""
+    if name == "coupled4":
+        return build_kvn(validate_separation(parse_polynomial(COUPLED4_H, 4), 2)), 1.0 / 20
+    config = load_config(CONFIGS / f"{name}.json")
+    return config.kvn, config.t / config.n_steps
+
+
+class TestExactStep:
+    """One whole product-formula step conjugates every quadrature exactly as
+    the exact term maps, composed in ``kvn.terms`` order, do; so a term in
+    the wrong place or an unreversed Strang half fails."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name", ["quartic", "harmonic", "coupled4"])
+    def test_step_circuit_has_the_composed_term_images(self, name, order):
+        kvn, dt = step_of(name)
+        circuit = trotter_circuit(kvn, dt, 1, order)
+        assert images_mismatch(heisenberg_images(circuit), step_images(kvn, dt, order)) <= 1e-12
+
+    # the heisenberg_images of coupled4's unreversed step take about 2 s
+    @pytest.mark.parametrize("name", ["quartic", "harmonic"])
+    def test_unreversed_second_half_sweep_misses_the_step(self, name):
+        kvn, dt = step_of(name)
+        half = [g for term in kvn.terms for g in synthesize_term(term, dt / 2).gates]
+        unreversed = GateSequence(2 * kvn.n, tuple(half * 2))
+        assert images_mismatch(heisenberg_images(unreversed), step_images(kvn, dt, 2)) > 1e-8
 
 
 class TestCxViaCz:
