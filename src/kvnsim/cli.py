@@ -135,6 +135,13 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
     samples = None
     if config.backend == "gaussian":
         mean, cov = evolve_gaussian(config.kvn, config.mean, config.covariance, config.t)
+        # as check_gaussian rejects such a covariance on the grid backend
+        if not np.isfinite(cov).all() or np.linalg.eigvalsh(cov).min() <= 0:
+            raise ConfigError(
+                "initial_density.covariance: too narrow for its evolution to "
+                f"t = {config.t!r}: the evolved covariance is not finite and "
+                "positive definite"
+            )
         # sampled by the reference's cell sweep, at t = 0: no flow
         rho = gaussian_density(mean, cov)
         density = liouville_density_grid(FlowMap(config.hamiltonian), rho, 0.0, spec)
@@ -156,7 +163,8 @@ def _run_evolution(config: ExperimentConfig) -> EvolutionResult:
         circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
         # the plan runs on the prepared state's array, which nothing else
         # holds, and the measure stage holds only the density
-        density = born_density(apply_sequence(state, circuit, overwrite_state=True))
+        apply_sequence(state, circuit)
+        density = born_density(state)
         del state
         mean, cov = position_moments(density)
         if config.num_samples:

@@ -54,19 +54,18 @@ steps, so the work of a plan can be counted without running it:
    commute exactly, so X then Z is one block (``_commuted``). A block
    composes when (a) its ops and entry basis recur in the plan, (b) it
    holds more than N/8 transforms, which cost well over one batched
-   matmul, and (c) one state and the distinct blocks' matrices fit under
-   MEMORY_CAP_BYTES, which is all a plan run in place holds; a copying
-   plan holds one state more. Its matrices are built once per call, while
-   compiling: the same scheduler compiles the block's ops from its entry
-   and fixed bases, and the executor runs those steps in place on the
-   identity. Every occurrence is then one matmul, a chunk of fibers at a
-   time, after the one switch each fixed axis needs. On the 4-mode
+   matmul, and (c) one state and the distinct blocks' matrices, all that
+   a plan holds, fit under MEMORY_CAP_BYTES. Its matrices are built once
+   per call, while compiling: the same scheduler compiles the block's ops
+   from its entry and fixed bases, and the executor runs those steps in
+   place on the identity. Every occurrence is then one matmul, a chunk of
+   fibers at a time, after the one switch each fixed axis needs. On the 4-mode
    coupled-quartic plan (20 steps) each step runs one block on x3 and one
    on x4: 40 matmuls by 2 distinct matrices replace 1,520 of the 1,604
    transforms on the state, none of x3 or x4 is left, and 2 builds take
-   76 transforms; the state moves by about 2e-14 relative. 2-axis plans are never reordered, and their product formulas
-   repeat only blocks of at most 3 transforms, below the bar for N >= 32,
-   so they run as before, bit for bit;
+   76 transforms; the state moves by about 2e-14 relative. 2-axis plans
+   are never reordered, and their product formulas repeat only blocks of
+   at most 3 transforms, below the bar for N >= 32, so none composes;
 5. when the process may run on more than one CPU, each stretch of
    transforms and multiplies between composed blocks whose work (grid
    points times steps) reaches SLAB_MIN_WORK runs as one slab step: the
@@ -76,16 +75,14 @@ steps, so the work of a plan can be counted without running it:
    and every multiply touches only its own half, so slab execution is
    bitwise equal to serial execution. A block's build runs the same way,
    halved along the lowest of its fixed axes and its column axis, which
-   its steps never transform; the matmuls that apply a composed block stay serial, since
-   splitting them between the two threads measured no gain.
+   its steps never transform; the matmuls that apply a composed block
+   stay serial, since splitting them between the two threads measured no
+   gain.
 
 Fusion, reordering, basis tracking and composed blocks change results by
 roundoff only (about 1e-13 relative against gate-by-gate execution) and
-never change the synthesized circuit itself. By default a plan runs on a
-copy of the caller's state, which is never written; the CLI, which keeps
-no other reference to its prepared state, lets the plan run on that
-array itself (``overwrite_state``), with the same arithmetic. A state
-that is not finite after a plan raises BlowUpError.
+never change the synthesized circuit itself. A plan runs on the caller's
+state itself, and a state that is not finite after it raises BlowUpError.
 
 Transforms are numpy's, written in place with ``out=`` so that a slab
 transforms its own half of the state and nothing else; they release the
@@ -107,7 +104,7 @@ import it on first use, so commands that write no CSV never compile it.
 The text is repr's byte for byte; tests compare random bit patterns of
 every class, every power of two, the notation switches and the
 non-finite values. On the benchmark's 32^4 density the writer takes
-about 0.35 s, where a repr per value took 1.0 s (2 vCPUs).
+about 0.35 s (2 vCPUs).
 
 The grid is an emulation device: extent and resolution are engineering
 choices, not part of the compiled circuits.
@@ -191,6 +188,16 @@ class GridSpec:
             raise GridSpecError(
                 "half_extent",
                 f"half_extent {self.half_extent} gives a non-finite grid spacing",
+            )
+        try:
+            volume = self.cell_volume
+        except OverflowError:  # a float power raises rather than give inf
+            volume = np.inf
+        if not 0 < volume < np.inf:
+            raise GridSpecError(
+                "half_extent",
+                f"half_extent {self.half_extent} gives a cell volume of {volume!r} "
+                f"over {self.num_modes} modes",
             )
         state_bytes = 16 * n ** self.num_modes
         if state_bytes > MEMORY_CAP_BYTES:
@@ -581,9 +588,8 @@ def _composed_blocks(spec: GridSpec, ops: Sequence[_Op]) -> dict[int, _Block]:
     A block composes when its key occurs at least twice (a block that runs
     once costs about as much to build as to run), when its transforms cost
     well over one matmul, and while one state and the distinct blocks'
-    matrices fit under MEMORY_CAP_BYTES. That is what the CLI holds while
-    its plan runs in place (``apply_sequence(..., overwrite_state=True)``);
-    a copying ``apply_sequence`` or ``apply_gate`` holds one state more.
+    matrices fit under MEMORY_CAP_BYTES: all that a plan, which runs on
+    the caller's state, holds.
     """
     n = spec.points_per_mode
     blocks = _blocks(spec.num_modes, ops)
@@ -826,48 +832,30 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_plan(state: GridState, gates: Iterable[Gate],
-              overwrite_state: bool = False) -> GridState:
-    """Compile a gate list and execute its steps, in two slabs at once when
-    the process has more than one CPU, on a copy of the state, or with
-    ``overwrite_state`` on ``state.psi`` itself, which the result then
-    wraps. The copy is one state more than the state and block matrices
-    that ``_composed_blocks`` budgets for."""
-    steps = _compile(state.spec, gates)
-    if _cpus() > 1:
-        steps = _slabs(state.spec, steps)
-    psi = state.psi if overwrite_state else state.psi.copy()
-    _execute(steps, psi)
-    if not np.isfinite(psi).all():
-        raise BlowUpError("grid state has non-finite amplitudes")
-    return GridState(state.spec, psi)
+def apply_gate(state: GridState, gate: Gate) -> None:
+    """Apply one gate to the state in place, norm preserved to roundoff."""
+    apply_sequence(state, GateSequence(state.spec.num_modes, (gate,)))
 
 
-def apply_gate(state: GridState, gate: Gate) -> GridState:
-    """Apply one gate; returns a new state, norm preserved to roundoff."""
-    if max(gate.modes) >= state.spec.num_modes:
-        raise ValueError(
-            f"gate modes {gate.modes} out of range for {state.spec.num_modes} qumodes"
-        )
-    return _run_plan(state, (gate,))
+def apply_sequence(state: GridState, seq: GateSequence) -> None:
+    """Apply a gate sequence (leftmost first) to the state in place.
 
-
-def apply_sequence(state: GridState, seq: GateSequence, *,
-                   overwrite_state: bool = False) -> GridState:
-    """Apply a gate sequence (leftmost first); returns the resulting state.
-
-    By default the plan runs on a copy, one state more than the memory cap
-    counts, and ``state`` is never written. With ``overwrite_state`` it
-    runs on ``state.psi``, which the returned state shares, with the same
-    arithmetic bit for bit; after an error ``state.psi`` holds partly
-    evolved values. Raises BlowUpError when the result is not finite.
+    The compiled steps run on ``state.psi`` itself, in two slabs at once
+    when the process has more than one CPU. Raises BlowUpError when the
+    result is not finite; after any error ``state.psi`` may hold partly
+    evolved values.
     """
     if seq.num_modes != state.spec.num_modes:
         raise ValueError(
             f"sequence over {seq.num_modes} modes applied to a "
             f"{state.spec.num_modes}-mode state"
         )
-    return _run_plan(state, seq, overwrite_state)
+    steps = _compile(state.spec, seq)
+    if _cpus() > 1:
+        steps = _slabs(state.spec, steps)
+    _execute(steps, state.psi)
+    if not np.isfinite(state.psi).all():
+        raise BlowUpError("grid state has non-finite amplitudes")
 
 
 def exact_controlled_shift(state: GridState, term: KvNTerm, s: float) -> GridState:

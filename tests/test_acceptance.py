@@ -33,7 +33,7 @@ from kvnsim.oracle import (
 from kvnsim.phasepoly import PhasePolynomial, parse_polynomial
 from kvnsim.synth import Gate, GateKind, synthesize_term, trotter_circuit
 from kvnsim.weyl import verify_key_decomposition, verify_liouvillian_product_rule
-from test_grid import norm
+from test_grid import evolved, norm
 
 HO_TEXT = "1/2 * x2^2 + 1/2 * x1^2"
 QUARTIC_TEXT = "1/2 * x2^2 + 1/2 * x1^2 + 1/40 * x1^4"
@@ -103,11 +103,11 @@ def test_c4_harmonic_oscillator_grid():
     state = prepare_gaussian(spec, mean0, cov0)
     t = np.pi / 2
 
-    evolved = apply_sequence(state, trotter_circuit(kvn, t, 200, order=2))
+    final = evolved(state, trotter_circuit(kvn, t, 200, order=2))
     reference = liouville_density_grid(
         FlowMap(h, dt=1e-3), gaussian_density(mean0, cov0), t, spec
     )
-    comparison = compare_densities(born_density(evolved), reference)
+    comparison = compare_densities(born_density(final), reference)
     assert comparison.total_variation <= 0.05
     moment_error = float(np.linalg.norm(comparison.first_moment_error))
     assert moment_error <= 1e-2
@@ -117,7 +117,7 @@ def test_c4_harmonic_oscillator_grid():
     steps = np.array([25, 50, 100, 200])
     errors = []
     for n in steps:
-        out = apply_sequence(state, trotter_circuit(kvn, t, int(n), order=1))
+        out = evolved(state, trotter_circuit(kvn, t, int(n), order=1))
         m, _ = position_moments(born_density(out))
         errors.append(np.linalg.norm(m - target))
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
@@ -161,7 +161,7 @@ def test_c5_synthesis_matches_exact_shift_oracle():
         )
         strengths = (0.5, -0.37) if num_modes == 2 else (0.5,)
         for s in strengths:
-            synthesized = apply_sequence(state, synthesize_term(term, s))
+            synthesized = evolved(state, synthesize_term(term, s))
             oracle = exact_controlled_shift(state, term, s)
             # in place: the difference would be a fourth full-size array
             synthesized.psi -= oracle.psi
@@ -182,8 +182,8 @@ def test_c6_quartic_anharmonic_vs_ensemble():
 
     spec = GridSpec(num_modes=2, points_per_mode=256, half_extent=16.0)
     state = prepare_gaussian(spec, mean0, cov0)
-    evolved = apply_sequence(state, trotter_circuit(kvn, 1.0, 200, order=2))
-    grid_mean, grid_cov = position_moments(born_density(evolved))
+    apply_sequence(state, trotter_circuit(kvn, 1.0, 200, order=2))
+    grid_mean, grid_cov = position_moments(born_density(state))
 
     ensemble = ClassicalEnsemble.gaussian(mean0, cov0, 100_000, seed=42)
     transported = ensemble_evolve(FlowMap(h, dt=1e-3), ensemble, 1.0)
@@ -225,14 +225,12 @@ def test_c7_unitarity_and_fourier_relations():
         Gate(GateKind.FOURIER, (0,)),
         Gate(GateKind.FOURIER_INVERSE, (1,)),
     ]
-    worst_drift = max(abs(norm(apply_gate(state, g)) - 1.0) for g in gates)
+    worst_drift = max(abs(norm(evolved(state, g)) - 1.0) for g in gates)
     assert worst_drift <= 1e-12
 
     spec1 = GridSpec(num_modes=1, points_per_mode=128, half_extent=8.0)
     single = prepare_gaussian(spec1, [0.7], np.array([[0.4]]))
-    quadruple = single
-    for _ in range(4):
-        quadruple = apply_gate(quadruple, Gate(GateKind.FOURIER, (0,)))
+    quadruple = evolved(single, *[Gate(GateKind.FOURIER, (0,))] * 4)
     f4_error = float(
         np.linalg.norm(quadruple.psi - single.psi) * np.sqrt(spec1.dx)
     )
@@ -244,15 +242,13 @@ def test_c7_unitarity_and_fourier_relations():
         st = prepare_gaussian(
             spec1, [rng.uniform(-1, 1)], np.array([[rng.uniform(0.3, 0.9)]])
         )
-        st = apply_gate(
-            st, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), rng.uniform(-1, 1))
-        )
+        apply_gate(st, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), rng.uniform(-1, 1)))
         x0, p0 = position_expectation(st, 0), momentum_expectation(st, 0)
-        after = apply_gate(st, Gate(GateKind.FOURIER, (0,)))
+        apply_gate(st, Gate(GateKind.FOURIER, (0,)))
         worst_rel = max(
             worst_rel,
-            abs(momentum_expectation(after, 0) - x0),  # X = F^dag P F
-            abs(position_expectation(after, 0) + p0),  # P = -F^dag X F
+            abs(momentum_expectation(st, 0) - x0),  # X = F^dag P F
+            abs(position_expectation(st, 0) + p0),  # P = -F^dag X F
         )
     assert worst_rel <= 1e-8
     elapsed = time.perf_counter() - start

@@ -11,6 +11,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kvnsim import cli
@@ -102,6 +103,37 @@ def test_export_bytes_sum_to_the_density_file(tmp_path, monkeypatch):
     assert cli.main(["evolve", "--config", str(path)]) == 0
     assert len(lengths) == 4
     assert sum(lengths) == (tmp_path / "out" / "density.csv").stat().st_size
+
+
+def test_gate_costs_keep_the_state_finite_and_normalised():
+    # perfbench/run.py's gate_costs calls apply_gate 16 times (one warm-up
+    # and 15 timed) for the first gate of each kind in the workload's
+    # circuit, all on one prepared state, and discards the results: the
+    # state is evolved in place by every call. Here at coupled4's smoke size.
+    cfg = config_from_dict({
+        "version": 1,
+        "hamiltonian": {
+            "n": 2,
+            "H": "1/2 * x3^2 + 1/2 * x4^2 + 1/2 * x1^2 + 1/2 * x2^2 + 1/20 * x1^2 * x2^2",
+        },
+        "initial_density": {"mean": [1.0, 0.5, 0.0, 0.0], "covariance": (0.5 * np.eye(4)).tolist()},
+        "grid": {"points_per_mode": 16, "half_extent": 8.0},
+        "evolution": {"t": 1.0, "n_steps": 4, "order": 2},
+        "backend": "grid",
+        "outputs": "out",
+    })
+    spec = GridSpec(cfg.num_modes, cfg.points_per_mode, cfg.half_extent)
+    state = prepare_gaussian(spec, cfg.mean, cfg.covariance)
+    firsts = {}
+    for gate in trotter_circuit(cfg.kvn, cfg.t, cfg.n_steps, cfg.order):
+        firsts.setdefault(gate.kind.value, gate)
+    assert sorted(firsts) == ["CX", "F", "FDAG", "Q"]
+    for gate in firsts.values():
+        for _ in range(16):
+            apply_gate(state, gate)
+    assert np.isfinite(state.psi).all()
+    norm = np.sqrt(np.sum(np.abs(state.psi) ** 2) * spec.cell_volume)
+    assert abs(norm - 1.0) <= 1e-12
 
 
 def test_counted_signatures():

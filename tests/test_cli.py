@@ -274,6 +274,8 @@ class TestExitCodes:
             # float range, still meet the n_steps bound
             ({"evolution": {"t": 1e-300, "n_steps": 10**30}}, "evolution.n_steps"),
             ({"evolution": {"n_steps": 10**400}}, "evolution.n_steps"),
+            # finite spacings whose cell volume, dx^2, overflows
+            ({"grid": {"half_extent": 1e200}}, "grid.half_extent"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, overrides, field):
@@ -402,6 +404,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         # rejected before any gate runs
         assert evolved == []
+
+    @pytest.mark.parametrize(
+        "n,hamiltonian,t", [(1, "1/2 * x2^2", 1e8), (2, "1/2 * x3^2 + 1/2 * x4^2", 1e9)],
+        ids=["n1", "n2"])
+    def test_gaussian_backend_singular_evolved_covariance_exit_code(
+            self, tmp_path, capsys, n, hamiltonian, t):
+        # free flight for so long that the evolved covariance rounds to a
+        # singular matrix: position variances near t^2 / 2 beside 1/2
+        cfg = write_config(
+            tmp_path / "c.json", hamiltonian={"n": n, "H": hamiltonian},
+            initial_density={"mean": [1.0, 0.5, 0.0, 0.0][:2 * n],
+                             "covariance": (0.5 * np.eye(2 * n)).tolist()},
+            evolution={"t": t, "n_steps": 1, "order": 2})
+        code = main(["evolve", "--config", str(cfg), "--backend", "gaussian",
+                     "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: initial_density.covariance:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_gaussian_backend_narrower_than_a_cell_exit_code(self, tmp_path, capsys, command):
@@ -548,7 +569,8 @@ class TestEvolve:
         assert np.array_equal(table[:, :4], np.array(list(itertools.product(xs, repeat=4))))
         circuit = trotter_circuit(config.kvn, config.t, config.n_steps, config.order)
         state = prepare_gaussian(config.spec, config.mean, config.covariance)
-        expected = born_density(apply_sequence(state, circuit)).values
+        apply_sequence(state, circuit)
+        expected = born_density(state).values
         assert np.array_equal(table[:, 4], expected.ravel())
 
     def test_grid_evolution_holds_one_state(self, tmp_path, monkeypatch):

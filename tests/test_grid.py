@@ -63,6 +63,18 @@ def norm(state: GridState) -> float:
     return float(np.sqrt(np.sum(np.abs(state.psi) ** 2) * state.spec.cell_volume))
 
 
+def evolved(state: GridState, *plans: GateSequence | Gate) -> GridState:
+    """A copy of the state with each plan applied to it in turn, a sequence
+    by apply_sequence and a gate by apply_gate; the state is left as it is."""
+    out = GridState(state.spec, state.psi.copy())
+    for plan in plans:
+        if isinstance(plan, Gate):
+            apply_gate(out, plan)
+        else:
+            apply_sequence(out, plan)
+    return out
+
+
 def l2_distance(a: GridState, b: GridState) -> float:
     return float(
         np.sqrt(np.sum(np.abs(a.psi - b.psi) ** 2) * a.spec.cell_volume)
@@ -107,11 +119,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="memory cap"):
             GridSpec(num_modes=4, points_per_mode=1024)
 
-    @pytest.mark.parametrize("half_extent", [1e308, 1e-310, 5e-324])
-    def test_overflowing_spacing_rejected(self, half_extent):
-        # 1e308 overflows dx, 1e-310 overflows dp, 5e-324 rounds dx to 0
-        with pytest.raises(GridSpecError, match="non-finite grid spacing") as err:
-            GridSpec(num_modes=1, points_per_mode=16, half_extent=half_extent)
+    @pytest.mark.parametrize(
+        "half_extent,num_modes",
+        [(1e308, 1), (1e-310, 1), (5e-324, 1), (1e200, 2), (1e-90, 4)],
+        ids=["1e+308", "1e-310", "5e-324", "1e+200", "1e-90"],
+    )
+    def test_overflowing_spacing_rejected(self, half_extent, num_modes):
+        # 1e308 overflows dx, 1e-310 overflows dp and 5e-324 rounds dx to 0;
+        # the spacings of 1e200 and 1e-90 are finite, but the cell volume
+        # dx^2 overflows and dx^4 underflows to 0
+        with pytest.raises(GridSpecError, match="non-finite grid spacing|cell volume") as err:
+            GridSpec(num_modes=num_modes, points_per_mode=16, half_extent=half_extent)
         assert err.value.param == "half_extent"
 
     @pytest.mark.parametrize("half_extent", [0.5, 3.0, 6.0, 8.0, 16.0, 1e-3, 7.3])
@@ -227,24 +245,19 @@ class TestUnitarity:
     )
     def test_norm_preserved_per_gate(self, gate):
         state = prepare_gaussian(SPEC2, [0.6, -0.2], 0.5 * np.eye(2))
-        out = apply_gate(state, gate)
-        assert abs(norm(out) - 1.0) <= 1e-12
+        apply_gate(state, gate)
+        assert abs(norm(state) - 1.0) <= 1e-12
 
 
 class TestFourier:
     def test_fourth_power_is_identity(self):
         state = prepare_gaussian(SPEC1, [0.7], np.array([[0.4]]))
-        out = state
-        for _ in range(4):
-            out = apply_gate(out, Gate(GateKind.FOURIER, (0,)))
+        out = evolved(state, *[Gate(GateKind.FOURIER, (0,))] * 4)
         assert l2_distance(out, state) <= 1e-10
 
     def test_inverse_pair(self):
         state = prepare_gaussian(SPEC1, [0.3], np.array([[0.6]]))
-        out = apply_gate(
-            apply_gate(state, Gate(GateKind.FOURIER, (0,))),
-            Gate(GateKind.FOURIER_INVERSE, (0,)),
-        )
+        out = evolved(state, Gate(GateKind.FOURIER, (0,)), Gate(GateKind.FOURIER_INVERSE, (0,)))
         assert l2_distance(out, state) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -253,44 +266,37 @@ class TestFourier:
         rng = np.random.default_rng(seed)
         mean = rng.uniform(-1, 1)
         state = prepare_gaussian(SPEC1, [mean], np.array([[rng.uniform(0.3, 0.8)]]))
-        state = apply_gate(
-            state, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), rng.uniform(-1, 1))
-        )
+        apply_gate(state, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), rng.uniform(-1, 1)))
         x0, p0 = position_expectation(state, 0), momentum_expectation(state, 0)
-        out = apply_gate(state, Gate(GateKind.FOURIER, (0,)))
-        assert position_expectation(out, 0) == pytest.approx(-p0, abs=1e-8)
-        assert momentum_expectation(out, 0) == pytest.approx(x0, abs=1e-8)
+        apply_gate(state, Gate(GateKind.FOURIER, (0,)))
+        assert position_expectation(state, 0) == pytest.approx(-p0, abs=1e-8)
+        assert momentum_expectation(state, 0) == pytest.approx(x0, abs=1e-8)
 
     def test_convention_pin(self):
         # a state displaced in position maps to one displaced in momentum
         state = prepare_gaussian(SPEC1, [1.0], np.array([[0.5]]))
-        out = apply_gate(state, Gate(GateKind.FOURIER, (0,)))
-        assert position_expectation(out, 0) == pytest.approx(0.0, abs=1e-8)
-        assert momentum_expectation(out, 0) == pytest.approx(1.0, abs=1e-8)
+        apply_gate(state, Gate(GateKind.FOURIER, (0,)))
+        assert position_expectation(state, 0) == pytest.approx(0.0, abs=1e-8)
+        assert momentum_expectation(state, 0) == pytest.approx(1.0, abs=1e-8)
 
     def test_square_is_parity(self):
         # F^2 reverses the position argument on the centered grid
         state = prepare_gaussian(SPEC1, [0.6], np.array([[0.5]]))
-        out = apply_gate(
-            apply_gate(state, Gate(GateKind.FOURIER, (0,))),
-            Gate(GateKind.FOURIER, (0,)),
-        )
+        out = evolved(state, *[Gate(GateKind.FOURIER, (0,))] * 2)
         reflected = np.roll(state.psi[::-1], 1)
         assert np.linalg.norm(out.psi - reflected) * np.sqrt(SPEC1.dx) <= 1e-12
 
     def test_rotation_pi_means_flip(self):
         state = prepare_gaussian(SPEC2, [1.0, 0.4], 0.5 * np.eye(2))
-        out = apply_gate(
-            apply_gate(state, Gate(GateKind.ROTATION, (0,), np.pi)),
-            Gate(GateKind.ROTATION, (1,), np.pi),
-        )
-        assert position_expectation(out, 0) == pytest.approx(-1.0, abs=1e-8)
-        assert position_expectation(out, 1) == pytest.approx(-0.4, abs=1e-8)
+        apply_gate(state, Gate(GateKind.ROTATION, (0,), np.pi))
+        apply_gate(state, Gate(GateKind.ROTATION, (1,), np.pi))
+        assert position_expectation(state, 0) == pytest.approx(-1.0, abs=1e-8)
+        assert position_expectation(state, 1) == pytest.approx(-0.4, abs=1e-8)
 
     def test_rotation_quarter_matches_fourier_density(self):
         state = prepare_gaussian(SPEC1, [0.9], np.array([[0.5]]))
-        via_r = apply_gate(state, Gate(GateKind.ROTATION, (0,), np.pi / 2))
-        via_f = apply_gate(state, Gate(GateKind.FOURIER, (0,)))
+        via_r = evolved(state, Gate(GateKind.ROTATION, (0,), np.pi / 2))
+        via_f = evolved(state, Gate(GateKind.FOURIER, (0,)))
         assert np.allclose(
             np.abs(via_r.psi) ** 2, np.abs(via_f.psi) ** 2, atol=1e-12
         )
@@ -302,7 +308,7 @@ class TestDiagonalGates:
         # density-weighted average equals s * <x2> under the same weights
         s = 0.1
         state = prepare_gaussian(SPEC2, [1.0, 0.8], np.diag([0.04, 0.04]))
-        out = apply_gate(state, Gate(GateKind.CONTROLLED_Z, (0, 1), s))
+        out = evolved(state, Gate(GateKind.CONTROLLED_Z, (0, 1), s))
         ratio = out.psi[1:, :] * np.conj(out.psi[:-1, :])
         base = state.psi[1:, :] * np.conj(state.psi[:-1, :])
         grad = np.angle(ratio * np.conj(base)) / SPEC2.dx
@@ -315,7 +321,7 @@ class TestDiagonalGates:
 
     def test_displacement_shifts_momentum(self):
         state = prepare_gaussian(SPEC1, [0.0], np.array([[0.5]]))
-        out = apply_gate(state, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), 0.9))
+        out = evolved(state, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), 0.9))
         assert momentum_expectation(out, 0) == pytest.approx(0.9, abs=1e-8)
         assert np.allclose(np.abs(out.psi) ** 2, np.abs(state.psi) ** 2)
 
@@ -325,27 +331,27 @@ class TestControlledX:
         # grid CX vs the exact Gaussian backend on the same generator
         s = 0.4
         state = prepare_gaussian(SPEC2, [1.0, 0.0], 0.5 * np.eye(2))
-        out = apply_gate(state, Gate(GateKind.CONTROLLED_X, (0, 1), s))
+        apply_gate(state, Gate(GateKind.CONTROLLED_X, (0, 1), s))
         term = KvNTerm(factor=PhasePolynomial.variable(2, 0), mode=1, sign=1)
         from kvnsim.kvn import KvNHamiltonian
 
-        evolved, _ = evolve_gaussian(
+        moved, _ = evolve_gaussian(
             KvNHamiltonian(n=1, terms=(term,)), np.array([1.0, 0.0]), 0.5 * np.eye(2), s
         )
-        assert position_expectation(out, 1) == pytest.approx(evolved[1], abs=1e-6)
-        assert position_expectation(out, 1) == pytest.approx(s * 1.0, abs=1e-6)
+        assert position_expectation(state, 1) == pytest.approx(moved[1], abs=1e-6)
+        assert position_expectation(state, 1) == pytest.approx(s * 1.0, abs=1e-6)
 
     def test_cx_via_cz_equivalence(self):
         # narrow control bounds the shift excursion; vacuum-width target keeps
         # the Fourier conjugation well inside the box in both quadratures
         state = prepare_gaussian(SPEC2, [0.3, 0.0], np.diag([0.1, 0.5]))
-        direct = apply_gate(state, Gate(GateKind.CONTROLLED_X, (0, 1), 1.0))
-        via = apply_sequence(state, cx_via_cz(0, 1, 1.0, 2))
+        direct = evolved(state, Gate(GateKind.CONTROLLED_X, (0, 1), 1.0))
+        via = evolved(state, cx_via_cz(0, 1, 1.0, 2))
         assert l2_distance(direct, via) <= 1e-10
 
     def test_cx_via_cz_zero_strength_is_identity(self):
         state = prepare_gaussian(SPEC2, [0.5, 0.0], 0.25 * np.eye(2))
-        via = apply_sequence(state, cx_via_cz(0, 1, 0.0, 2))
+        via = evolved(state, cx_via_cz(0, 1, 0.0, 2))
         assert l2_distance(via, state) <= 1e-12
 
 
@@ -385,7 +391,7 @@ class TestSynthesisAgainstOracle:
         state = prepare_gaussian(spec, [0.0, 0.0], np.diag([0.5, 0.04]))
         term = KvNTerm(factor=PhasePolynomial.monomial(2, expo, 1), mode=mode, sign=1)
         for s in (0.5, -0.31):
-            syn = apply_sequence(state, synthesize_term(term, s))
+            syn = evolved(state, synthesize_term(term, s))
             ora = exact_controlled_shift(state, term, s)
             rel = l2_distance(syn, ora)
             assert rel <= 1e-6
@@ -395,7 +401,7 @@ class TestSynthesisAgainstOracle:
         spec = GridSpec(num_modes=2, points_per_mode=64, half_extent=8.0)
         state = prepare_gaussian(spec, [0.0, 0.0], np.diag([0.04, 0.5]))
         term = KvNTerm(factor=PhasePolynomial.monomial(2, (3, 0), 1), mode=1, sign=1)
-        syn = apply_sequence(state, synthesize_term(term, 0.1))
+        syn = evolved(state, synthesize_term(term, 0.1))
         ora = exact_controlled_shift(state, term, 0.1)
         assert l2_distance(syn, ora) <= 1e-8
 
@@ -410,7 +416,7 @@ class TestTrotterOnGrid:
         exact, _ = evolve_gaussian(kvn, np.array([1.0, 0.0]), 0.5 * np.eye(2), 1.2)
         errors = []
         for steps in (8, 16, 32, 64):
-            out = apply_sequence(state, trotter_circuit(kvn, 1.2, steps, 1))
+            out = evolved(state, trotter_circuit(kvn, 1.2, steps, 1))
             mean, _ = position_moments(born_density(out))
             errors.append(np.linalg.norm(mean - exact))
         assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -427,7 +433,7 @@ class TestTrotterOnGrid:
         exact, _ = evolve_gaussian(kvn, np.array([1.0, 0.0]), 0.5 * np.eye(2), 1.3)
         errors = []
         for n in steps:
-            out = apply_sequence(state, trotter_circuit(kvn, 1.3, n, order))
+            out = evolved(state, trotter_circuit(kvn, 1.3, n, order))
             mean, _ = position_moments(born_density(out))
             errors.append(np.linalg.norm(mean - exact))
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
@@ -439,7 +445,7 @@ class TestTrotterOnGrid:
         )
         circ = trotter_circuit(build_kvn(h), 0.8, 4, 1)
         state = prepare_gaussian(SPEC2, [1.0, 0.0], 0.5 * np.eye(2))
-        out = apply_sequence(apply_sequence(state, circ), circ.inverse())
+        out = evolved(state, circ, circ.inverse())
         assert l2_distance(out, state) <= 1e-8
 
     def test_born_density_approaches_liouville_density_under_refinement(self):
@@ -461,7 +467,7 @@ class TestTrotterOnGrid:
         )
         tvs = []
         for steps in (10, 40, 160):
-            out = apply_sequence(state, trotter_circuit(kvn, 1.0, steps, 1))
+            out = evolved(state, trotter_circuit(kvn, 1.0, steps, 1))
             tvs.append(compare_densities(born_density(out), reference).total_variation)
         assert tvs[0] > tvs[1] > tvs[2]
 
@@ -815,12 +821,6 @@ class TestCompiledPlan:
     own one-gate plan, with every axis back in position between gates) is
     the reference."""
 
-    @staticmethod
-    def gate_by_gate(state, seq):
-        for gate in seq:
-            state = apply_gate(state, gate)
-        return state
-
     @pytest.mark.parametrize(
         "n,hamiltonian,points,mean,steps",
         [
@@ -836,8 +836,8 @@ class TestCompiledPlan:
         state = prepare_gaussian(spec, mean, 0.5 * np.eye(2 * n))
         circuit = trotter_circuit(kvn, 1.0, steps, 2)
         assert len(fuse_gates(circuit)) < len(circuit)
-        planned = apply_sequence(state, circuit)
-        reference = self.gate_by_gate(state, circuit)
+        planned = evolved(state, circuit)
+        reference = evolved(state, *circuit)
         assert l2_distance(planned, reference) <= 1e-12 * norm(reference)
 
     def test_mixed_basis_plan_matches_gate_by_gate(self):
@@ -858,16 +858,16 @@ class TestCompiledPlan:
         spec = GridSpec(num_modes=3, points_per_mode=32, half_extent=8.0)
         state = prepare_gaussian(spec, [0.5, -0.3, 0.2], 0.5 * np.eye(3))
         assert len(grid._lower_plan(spec, seq)) == 57
-        planned = apply_sequence(state, seq)
-        # the one-gate plans of gate_by_gate share the executor; the plain
-        # reference below shares only the gates' tables
+        planned = evolved(state, seq)
+        # the one-gate plans of a gate-by-gate run share the executor; the
+        # plain reference below shares only the gates' tables
         psi = state.psi.copy()
         for gate in seq:
             for needs, table in grid._lower(spec, gate):
                 axes = [axis for axis, momentum in needs if momentum]
                 psi = np.fft.ifftn(np.fft.fftn(psi, axes=axes, norm="ortho") * table,
                                    axes=axes, norm="ortho")
-        for reference in (self.gate_by_gate(state, seq), GridState(spec, psi)):
+        for reference in (evolved(state, *seq), GridState(spec, psi)):
             assert l2_distance(planned, reference) <= 1e-12 * norm(reference)
 
     def test_quartic_config_fused_gate_count(self):
@@ -936,61 +936,34 @@ class TestCompiledPlan:
         for between in (cx12, f):
             assert fuse_gates([cx, between, cx]) == [cx, between, cx]
 
-    def test_input_state_not_mutated(self):
-        state = prepare_gaussian(SPEC2, [0.6, -0.2], 0.5 * np.eye(2))
-        before = state.psi.copy()
-        seq = cx_via_cz(0, 1, 0.7, 2) + GateSequence(
-            2, (Gate(GateKind.CONTROLLED_X, (1, 0), 0.3),)
-        )
-        apply_sequence(state, seq)
-        apply_gate(state, Gate(GateKind.QUARTIC_PHASE, (0,), 0.1))
-        assert np.array_equal(state.psi, before)
-
-    def test_empty_sequence_returns_equal_copy(self):
-        state = prepare_gaussian(SPEC2, [0.6, -0.2], 0.5 * np.eye(2))
-        out = apply_sequence(state, GateSequence(2))
-        assert out.psi is not state.psi
-        assert np.array_equal(out.psi, state.psi)
-
     @pytest.mark.parametrize("theta", [2.5, -2.0, 3 * np.pi / 4])
     def test_rotation_beyond_quarter_turn_matches_closed_form(self, theta):
         # R(theta) rotates the quadrature means: x -> x cos - p sin,
         # p -> x sin + p cos (F = R(pi/2) maps X to -P and P to X)
-        state = apply_gate(
-            prepare_gaussian(SPEC1, [0.8], np.array([[0.5]])),
-            Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), -0.4),
-        )
+        state = prepare_gaussian(SPEC1, [0.8], np.array([[0.5]]))
+        apply_gate(state, Gate(GateKind.MOMENTUM_DISPLACEMENT, (0,), -0.4))
         x0, p0 = position_expectation(state, 0), momentum_expectation(state, 0)
-        out = apply_gate(state, Gate(GateKind.ROTATION, (0,), theta))
+        apply_gate(state, Gate(GateKind.ROTATION, (0,), theta))
         c, s = np.cos(theta), np.sin(theta)
-        assert position_expectation(out, 0) == pytest.approx(x0 * c - p0 * s, abs=1e-8)
-        assert momentum_expectation(out, 0) == pytest.approx(x0 * s + p0 * c, abs=1e-8)
-        assert abs(norm(out) - 1.0) <= 1e-12
+        assert position_expectation(state, 0) == pytest.approx(x0 * c - p0 * s, abs=1e-8)
+        assert momentum_expectation(state, 0) == pytest.approx(x0 * s + p0 * c, abs=1e-8)
+        assert abs(norm(state) - 1.0) <= 1e-12
 
     def test_zero_strength_cz_is_exact_identity(self):
         state = prepare_gaussian(SPEC2, [0.5, 0.0], 0.25 * np.eye(2))
-        out = apply_gate(state, Gate(GateKind.CONTROLLED_Z, (0, 1), 0.0))
+        out = evolved(state, Gate(GateKind.CONTROLLED_Z, (0, 1), 0.0))
         assert np.array_equal(out.psi, state.psi)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_raises_blow_up(self, bad):
         seq = GateSequence(2, (Gate(GateKind.CONTROLLED_X, (0, 1), 0.3),))
-        for overwrite_state in (False, True):
-            state = prepare_gaussian(SPEC2, [0.0, 0.0], 0.5 * np.eye(2))
-            state.psi[3, 5] = bad
-            with np.errstate(invalid="ignore"):
-                with pytest.raises(BlowUpError, match="non-finite"):
-                    apply_sequence(state, seq, overwrite_state=overwrite_state)
-                with pytest.raises(BlowUpError):
-                    apply_sequence(state, GateSequence(2), overwrite_state=overwrite_state)
-
-    @pytest.mark.parametrize("name,n_steps", [("quartic", 20), ("harmonic", None),
-                                              ("coupled4", None)])
-    def test_overwriting_plan_equals_copying_plan_bitwise(self, name, n_steps):
-        # quartic's 20 steps hold the slab stretches of its 200, and
-        # coupled4's 20 steps its composed blocks
-        _, state, circuit = shipped_plan(name, n_steps)
-        assert np.array_equal(in_place(state, circuit).psi, apply_sequence(state, circuit).psi)
+        state = prepare_gaussian(SPEC2, [0.0, 0.0], 0.5 * np.eye(2))
+        state.psi[3, 5] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(BlowUpError, match="non-finite"):
+                apply_sequence(state, seq)
+            with pytest.raises(BlowUpError):
+                apply_sequence(state, GateSequence(2))
 
 
 def kvn_of(hamiltonian: str, n: int):
@@ -1004,21 +977,12 @@ def random_state(spec: GridSpec, seed: int) -> GridState:
 
 
 def uncomposed(state: GridState, seq: GateSequence) -> GridState:
-    """apply_sequence with no memory for block matrices and no reordering:
+    """``evolved`` with no memory for block matrices and no reordering:
     every op runs one by one, in the order of the fused gates."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid, "MEMORY_CAP_BYTES", state.psi.nbytes)
         patch.setattr(grid, "_commuted", lambda num_modes, ops: ops)
-        return apply_sequence(state, seq)
-
-
-def in_place(state: GridState, seq: GateSequence) -> GridState:
-    """apply_sequence with overwrite_state on a copy of the state; the
-    result must hold that copy's array."""
-    copy = GridState(state.spec, state.psi.copy())
-    out = apply_sequence(copy, seq, overwrite_state=True)
-    assert np.shares_memory(out.psi, copy.psi)
-    return out
+        return evolved(state, seq)
 
 
 def relative_deviation(a: GridState, b: GridState) -> float:
@@ -1195,9 +1159,7 @@ class TestCommutingGates:
         spec = GridSpec(num_modes=seq.num_modes, points_per_mode=16, half_extent=2.0)
         state = random_state(spec, seed)
         fused = GateSequence(seq.num_modes, tuple(fuse_gates(seq)))
-        reference = TestCompiledPlan.gate_by_gate(state, seq)
-        assert relative_deviation(TestCompiledPlan.gate_by_gate(state, fused),
-                                  reference) <= 1e-12
+        assert relative_deviation(evolved(state, *fused), evolved(state, *seq)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["quartic", "harmonic"])
     def test_shipped_plans_keep_their_steps(self, name):
@@ -1241,7 +1203,7 @@ class TestComposedBlocks:
         # the blocks' axes are never transformed on the state
         assert {step[0] for step in plan if isinstance(step, tuple) and not is_block(step)} == {0, 1}
         state = prepare_gaussian(spec, [1.0, 0.5, 0.0, 0.0], 0.5 * np.eye(4))
-        planned = apply_sequence(state, circuit)
+        planned = evolved(state, circuit)
         assert relative_deviation(planned, uncomposed(state, circuit)) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -1314,8 +1276,8 @@ class TestComposedBlocks:
             assert [axis for axis, momentum in block.fixed if before[axis] != momentum] == [2]
             assert needs_transpose(block, 3)
         state = random_state(spec, 0)
-        planned = apply_sequence(state, HOISTED_TRANSPOSED)
-        reference = TestCompiledPlan.gate_by_gate(state, HOISTED_TRANSPOSED)
+        planned = evolved(state, HOISTED_TRANSPOSED)
+        reference = evolved(state, *HOISTED_TRANSPOSED)
         assert relative_deviation(planned, uncomposed(state, HOISTED_TRANSPOSED)) <= 1e-12
         assert relative_deviation(planned, reference) <= 1e-12
 
@@ -1325,15 +1287,12 @@ class TestComposedBlocks:
     def test_composed_plans_match_uncomposed(self, seq, seed):
         spec = GridSpec(num_modes=seq.num_modes, points_per_mode=16, half_extent=8.0)
         state = random_state(spec, seed)
-        before = state.psi.copy()
-        planned = apply_sequence(state, seq)
-        assert np.array_equal(state.psi, before)
-        assert relative_deviation(planned, uncomposed(state, seq)) <= 1e-12
-        assert np.array_equal(in_place(state, seq).psi, planned.psi)
+        assert relative_deviation(evolved(state, seq), uncomposed(state, seq)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["empty", "multiply-first", "block-first",
                                       "ends-in-momentum"])
     def test_input_state_never_written(self, name):
+        # no copy is ever written: the plan runs on the caller's own array
         spec = GridSpec(num_modes=3, points_per_mode=16, half_extent=8.0)
         seq = {"empty": GateSequence(3), "multiply-first": MULTIPLY_FIRST,
                "block-first": BLOCK_FIRST, "ends-in-momentum": HOISTED_TRANSPOSED}[name]
@@ -1345,11 +1304,10 @@ class TestComposedBlocks:
         if name == "ends-in-momentum":
             assert any(bases_before(ops, len(ops), 3))
         state = random_state(spec, 1)
-        before = state.psi.copy()
-        outputs = [apply_sequence(state, seq)]
-        outputs += [apply_gate(state, gate) for gate in seq]
-        assert np.array_equal(state.psi, before)
-        assert all(not np.shares_memory(out.psi, state.psi) for out in outputs)
+        reference, psi = uncomposed(state, seq), state.psi
+        assert apply_sequence(state, seq) is None
+        assert state.psi is psi
+        assert relative_deviation(state, reference) <= 1e-12
 
 
 @pytest.fixture
@@ -1413,7 +1371,8 @@ class TestSlabs:
         grid._execute(steps, serial)
         grid._execute(slabbed, parallel)
         assert np.array_equal(parallel, serial)
-        assert np.array_equal(apply_sequence(state, circuit).psi, serial)
+        apply_sequence(state, circuit)
+        assert np.array_equal(state.psi, serial)
 
     @pytest.mark.parametrize("name", ["coupled4", "hoisted-transposed"])
     def test_slabbed_builds_equal_serial_bitwise(self, name, monkeypatch):
@@ -1478,9 +1437,9 @@ class TestSlabs:
     @pytest.mark.parametrize("name,n_steps", [("harmonic", None), ("coupled4", 4)])
     def test_final_state_matches_scipy_per_op(self, name, n_steps):
         spec, state, circuit = shipped_plan(name, n_steps)
-        planned = apply_sequence(state, circuit)
         reference = GridState(spec, scipy_per_op(state, circuit))
-        assert relative_deviation(planned, reference) <= 1e-12
+        apply_sequence(state, circuit)
+        assert relative_deviation(state, reference) <= 1e-12
 
     @pytest.mark.parametrize("errors", ["ignore", "raise"])
     def test_worker_runs_under_callers_errstate(self, errors):
