@@ -906,21 +906,27 @@ def momentum_expectation(state: GridState, mode: int) -> float:
 
 
 def position_moments(density: DensityGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix of a grid density."""
+    """Mean vector and covariance matrix of a grid density.
+
+    Each product is formed in one work buffer, in the order of
+    ``np.sum(w * di * dj)``, so the sums are bitwise the plain expressions'.
+    """
     spec = density.spec
     d = spec.num_modes
     xs = spec.positions()
     w = density.values * spec.cell_volume
+    work = np.empty_like(w)
     total = float(np.sum(w))
     mean = np.empty(d)
     for i in range(d):
-        mean[i] = np.sum(w * spec.axis_view(xs, i)) / total
+        mean[i] = np.sum(np.multiply(w, spec.axis_view(xs, i), out=work)) / total
     cov = np.empty((d, d))
     for i in range(d):
         di = spec.axis_view(xs - mean[i], i)
         for j in range(i, d):
             dj = spec.axis_view(xs - mean[j], j)
-            cov[i, j] = cov[j, i] = np.sum(w * di * dj) / total
+            np.multiply(w, di, out=work)
+            cov[i, j] = cov[j, i] = np.sum(np.multiply(work, dj, out=work)) / total
     return mean, cov
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from kvnsim import cli
 from kvnsim.cli import main
 from kvnsim.config import ConfigError, config_from_dict, load_config
+from kvnsim.expansion import admissible_exponent_triples
 from kvnsim.grid import (
     FLOAT_TEXT_BYTES,
     MEMORY_CAP_BYTES,
@@ -36,7 +37,9 @@ from kvnsim.oracle import (
     gaussian_density,
     liouville_density_grid,
 )
+from kvnsim.phasepoly import PhasePolynomial
 from kvnsim.synth import trotter_circuit
+from kvnsim.weyl import verify_key_decomposition
 
 QUARTIC_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quartic.json"
 HARMONIC_CONFIG = QUARTIC_CONFIG.with_name("harmonic.json")
@@ -461,10 +464,48 @@ class TestExitCodes:
         assert "gaussian backend" in capsys.readouterr().err
 
     def test_identities_exit_zero(self, capsys):
+        # every proof, then the 24 product-rule cases in the table's order
         assert main(["identities"]) == 0
-        out = capsys.readouterr().out
-        assert "identities PASS" in out
-        assert "FAIL" not in out
+        proofs = [verify_key_decomposition(*triple).to_text()
+                  for triple in admissible_exponent_triples()]
+        labels = [f"product rule n={n} case {k}: PASS" for n in (1, 2, 3) for k in range(8)]
+        assert len(proofs) == 6
+        assert capsys.readouterr().out.splitlines() == (
+            "\n".join(proofs).splitlines() + labels + ["30/30 identities PASS"]
+        )
+
+
+def drawn_product_rule_cases() -> list[tuple[int, dict, dict, dict]]:
+    """The draw the product-rule battery's stored cases come from: for
+    n = 1, 2, 3, eight cases (h, f, g) of four terms each in 2n variables,
+    up to degree 3, with integer coefficients in [-5, 5]."""
+    rng = np.random.default_rng(20240801)
+
+    def random_terms(num_vars: int, degree: int) -> dict:
+        terms = {}
+        for _ in range(4):
+            expo = [0] * num_vars
+            for _ in range(rng.integers(0, degree + 1)):
+                expo[rng.integers(0, num_vars)] += 1
+            terms[tuple(expo)] = int(rng.integers(-5, 6))
+        return terms
+
+    return [(n, *(random_terms(2 * n, 3) for _ in range(3)))
+            for n in (1, 2, 3) for _ in range(8)]
+
+
+class TestProductRuleBattery:
+    def test_stored_cases_are_the_seeded_draw(self):
+        stored = cli._PRODUCT_RULE_CASES
+        drawn = drawn_product_rule_cases()
+        assert len(stored) == len(drawn) == 24
+        for (n, *texts), (drawn_n, *drawn_polys) in zip(stored, drawn):
+            assert n == drawn_n
+            for text, drawn_terms in zip(texts, drawn_polys, strict=True):
+                # term for term in the draw's order, zero coefficients included
+                terms = cli._case_terms(text)
+                assert list(terms.items()) == list(drawn_terms.items())
+                assert PhasePolynomial(2 * n, terms) == PhasePolynomial(2 * n, drawn_terms)
 
 
 def run_fresh(argv: list[str], absent: str) -> None:
@@ -503,6 +544,12 @@ class TestImports:
 
     def test_identities_starts_no_thread_pool(self):
         run_fresh(["identities"], "concurrent.futures")
+
+    @pytest.mark.parametrize("module", ["numpy.random", "_hashlib"])
+    def test_identities_draws_no_random_numbers(self, module):
+        # numpy.random's extensions, and the OpenSSL hashes it loads through
+        # secrets, take about 6 MB of the run's memory
+        run_fresh(["identities"], module)
 
     def test_declared_dependencies_are_the_imported_packages(self):
         # pyproject.toml's [project] dependencies name exactly the

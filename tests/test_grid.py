@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import os
 import signal
 import subprocess
@@ -527,6 +528,36 @@ class TestMeasurement:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * samples.nbytes
+
+    @pytest.mark.parametrize("num_modes,points", [(2, 128), (4, 16)])
+    def test_moments_equal_plain_expressions_bitwise(self, num_modes, points):
+        spec = GridSpec(num_modes=num_modes, points_per_mode=points, half_extent=8.0)
+        density = DensityGrid(spec, np.random.default_rng(4).random(spec.shape))
+        xs = spec.positions()
+        w = density.values * spec.cell_volume
+        total = float(np.sum(w))
+        mean = np.array([np.sum(w * spec.axis_view(xs, i)) / total
+                         for i in range(num_modes)])
+        cov = np.empty((num_modes, num_modes))
+        for i, j in itertools.combinations_with_replacement(range(num_modes), 2):
+            cov[i, j] = cov[j, i] = np.sum(w * spec.axis_view(xs - mean[i], i)
+                                           * spec.axis_view(xs - mean[j], j)) / total
+        got_mean, got_cov = position_moments(density)
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_cov.tobytes() == cov.tobytes()
+
+    def test_moments_hold_two_densities(self):
+        # the weighted density and one work buffer, with no temporaries;
+        # the rest is the sums' iteration buffers
+        spec = GridSpec(num_modes=4, points_per_mode=16, half_extent=8.0)
+        density = DensityGrid(spec, np.random.default_rng(4).random(spec.shape))
+        tracemalloc.start()
+        try:
+            position_moments(density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * density.values.nbytes
 
     def test_rejects_zero_samples(self):
         state = prepare_gaussian(SPEC1, [0.0], np.array([[1.0]]))
